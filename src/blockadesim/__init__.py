@@ -41,18 +41,15 @@ from .protocol import (
     EntangleOutcome,
     GhzOutcome,
     HeraldPolicy,
-    LinkResult,
     entangle_pair_exact,
     entangle_pair_sampled,
     ghz4_exact,
     ghz_success_probability,
-    link_clusters,
     link_success_probability,
 )
 from .budget import BudgetParams, budget_report, preset
 from .growth import (
     GrowthPolicy,
-    PairingRule,
     expected_cost_markov,
     simulate_growth,
 )
@@ -74,9 +71,7 @@ __all__ = [
     "HeraldPattern",
     "HeraldPolicy",
     "HybridState",
-    "LinkResult",
     "OpticalMode",
-    "PairingRule",
     "beam_splitter",
     "blockade_absorb",
     "budget_report",
@@ -92,7 +87,6 @@ __all__ = [
     "gate_x",
     "ghz4_exact",
     "ghz_success_probability",
-    "link_clusters",
     "link_success_probability",
     "measure_projective",
     "partial_trace",

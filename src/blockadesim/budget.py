@@ -23,12 +23,6 @@ from dataclasses import dataclass, fields, replace
 BOLTZMANN_J_PER_K = 1.380649e-23
 ATOMIC_MASS_KG = 1.66053906892e-27
 
-# Fixed literature rates quoted for context; nothing downstream consumes them.
-REFERENCE_RATES = {
-    "spontaneous_and_blackbody_hz": 1.0e3,
-    "hom_coincidence_counts_per_s": 1500.0,
-}
-
 # Reported final-state fidelity we compare the first-order estimate against.
 REFERENCE_FIDELITY = 0.982
 
@@ -50,8 +44,6 @@ class BudgetParams:
     collision_cross_section_cm2: float
     atom_mass_kg: float
     temperature_k: float
-    boltzmann_j_per_k: float = BOLTZMANN_J_PER_K
-    cloud_sigma_m: float = 3.0e-6  # cloud extent; metadata, no formula uses it
 
     def __post_init__(self):
         for f in fields(self):
@@ -128,35 +120,31 @@ def p_dark_count(dark_count_rate_hz: float, protocol_time_s: float,
     return 1.0 - math.exp(-dark_count_rate_hz * protocol_time_s / success_probability)
 
 
-def mean_thermal_speed_m_s(temperature_k: float, atom_mass_kg: float,
-                           boltzmann_j_per_k: float = BOLTZMANN_J_PER_K) -> float:
+def mean_thermal_speed_m_s(temperature_k: float, atom_mass_kg: float) -> float:
     if temperature_k < 0.0:
         raise ValueError("temperature must be >= 0")
     if atom_mass_kg <= 0.0:
         raise ValueError("mass must be positive")
-    return math.sqrt(3.0 * boltzmann_j_per_k * temperature_k / atom_mass_kg)
+    return math.sqrt(3.0 * BOLTZMANN_J_PER_K * temperature_k / atom_mass_kg)
 
 
 def collision_rate_si(density_m3: float, cross_section_m2: float, atom_mass_kg: float,
-                      temperature_k: float,
-                      boltzmann_j_per_k: float = BOLTZMANN_J_PER_K) -> float:
+                      temperature_k: float) -> float:
     """Background collision rate n sigma v with v = sqrt(3 kB T / M), SI inputs."""
     if density_m3 < 0.0 or cross_section_m2 < 0.0:
         raise ValueError("density and cross section must be >= 0")
-    speed = mean_thermal_speed_m_s(temperature_k, atom_mass_kg, boltzmann_j_per_k)
+    speed = mean_thermal_speed_m_s(temperature_k, atom_mass_kg)
     return density_m3 * cross_section_m2 * speed
 
 
 def collision_rate(density_cm3: float, cross_section_cm2: float, atom_mass_kg: float,
-                   temperature_k: float,
-                   boltzmann_j_per_k: float = BOLTZMANN_J_PER_K) -> float:
+                   temperature_k: float) -> float:
     """Same as :func:`collision_rate_si` but with the customary cm-based inputs."""
     return collision_rate_si(
         density_cm3 * 1.0e6,
         cross_section_cm2 * 1.0e-4,
         atom_mass_kg,
         temperature_k,
-        boltzmann_j_per_k,
     )
 
 
@@ -251,7 +239,6 @@ class BudgetReport:
                 "reference_gap": self.reference_gap,
             },
             "dominant_error": self.dominant_error,
-            "reference_rates": dict(REFERENCE_RATES),
         }
 
 
@@ -263,8 +250,7 @@ def budget_report(params: BudgetParams) -> BudgetReport:
     pdc = p_dark_count(params.dark_count_rate_hz, params.protocol_time_s,
                        params.success_probability)
     col_rate = collision_rate(params.density_cm3, params.collision_cross_section_cm2,
-                              params.atom_mass_kg, params.temperature_k,
-                              params.boltzmann_j_per_k)
+                              params.atom_mass_kg, params.temperature_k)
     # collisions compete over the same duty-cycle-corrected window as dark counts
     p_col = 1.0 - math.exp(-col_rate * params.protocol_time_s / params.success_probability)
     fid = fidelity_estimate(eps)
@@ -300,9 +286,7 @@ _INPUT_LABELS = {
     "density_cm3": "background density [cm^-3]",
     "collision_cross_section_cm2": "collision cross section [cm^2]",
     "atom_mass_kg": "atomic mass [kg]",
-    "boltzmann_j_per_k": "Boltzmann constant [J/K]",
     "temperature_k": "temperature [K]",
-    "cloud_sigma_m": "cloud std dev [m] (metadata)",
 }
 
 
@@ -328,7 +312,5 @@ def render_text(report: BudgetReport) -> str:
         f"dominant error: {report.dominant_error}",
         f"reference fidelity {REFERENCE_FIDELITY} differs from first-order estimate "
         f"by {report.reference_gap:.4f}",
-        "context rates (literature, not recomputed): "
-        + ", ".join(f"{k}={v:g}" for k, v in sorted(REFERENCE_RATES.items())),
     ]
     return "\n".join(lines) + "\n"

@@ -34,7 +34,7 @@ from . import protocol as protocol_mod
 from .ensemble import AbsorptionModel
 from .optics import DetectorModel
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 OUTPUT_DIR_ENV = "BLOCKADESIM_OUTPUT_DIR"
 
 EXIT_OK = 0
@@ -91,8 +91,6 @@ COMMAND_PARAMS = {
         ParamSpec("target", int, 8, "target cluster size"),
         ParamSpec("eta", float, 1.0, "detector efficiency for block generation"),
         ParamSpec("eta_prime", float, 1.0, "source efficiency for linking"),
-        ParamSpec("pairing", str, "largest-first", "linking order",
-                  tuple(r.value for r in growth_mod.PairingRule)),
         ParamSpec("trials", int, 1000, "Monte Carlo trials"),
         ParamSpec("cap", int, 1_000_000, "per-trial step cap"),
     ),
@@ -386,12 +384,15 @@ def _handle_ghz(params: dict, seed: int) -> tuple:
     return results, row
 
 
-def _handle_budget(params: dict, seed: int) -> tuple:
+def _budget_report(params: dict) -> budget_mod.BudgetReport:
+    """Budget of the named preset with every other key as a field override."""
     base = budget_mod.preset(params["preset"])
     overrides = {k: v for k, v in params.items() if k != "preset"}
-    if overrides:
-        base = replace(base, **overrides)
-    report = budget_mod.budget_report(base)
+    return budget_mod.budget_report(replace(base, **overrides))
+
+
+def _handle_budget(params: dict, seed: int) -> tuple:
+    report = _budget_report(params)
     results = report.to_json_dict()
     results["preset"] = params["preset"]
     row = {
@@ -406,14 +407,13 @@ def _handle_grow(params: dict, seed: int) -> tuple:
     policy = growth_mod.GrowthPolicy(
         block_size=params["block_size"],
         target_size=params["target"],
-        pairing=growth_mod.PairingRule(params["pairing"]),
         step_cap=params["cap"],
     )
     stats = growth_mod.simulate_growth(policy, params["eta"], params["eta_prime"],
                                        seed, params["trials"])
     results = stats.to_json_dict()
     markov = None
-    if policy.target_size <= 16:
+    if policy.target_size <= growth_mod.MARKOV_MAX_TARGET:
         cost = growth_mod.expected_cost_markov(policy, params["eta"], params["eta_prime"])
         markov = {
             "blocks": cost.blocks,
@@ -482,6 +482,8 @@ def run(config: RunConfig) -> str:
             return _render_csv(rows)
         return _render_rows_text(rows)
 
+    if config.command == "budget" and config.fmt == "text":
+        return budget_mod.render_text(_budget_report(config.params))
     handler = HANDLERS[config.command]
     results, row = handler(config.params, config.seed)
     if config.fmt == "json":
@@ -489,29 +491,13 @@ def run(config: RunConfig) -> str:
             "schema_version": SCHEMA_VERSION,
             "command": config.command,
             "seed": config.seed,
-            "params": _jsonable(config.params),
+            "params": config.params,
             "results": results,
         }
         return json.dumps(envelope, indent=2, sort_keys=True) + "\n"
     if config.fmt == "csv":
         return _render_csv([row])
-    if config.command == "budget":
-        base = budget_mod.preset(config.params["preset"])
-        overrides = {k: v for k, v in config.params.items() if k != "preset"}
-        if overrides:
-            base = replace(base, **overrides)
-        return budget_mod.render_text(budget_mod.budget_report(base))
     return _render_result_text(config, results)
-
-
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, Path):
-        return str(value)
-    return value
 
 
 def _render_csv(rows: list) -> str:

@@ -4,8 +4,8 @@ The growth rule: keep an inventory of linear clusters (tracked by qubit
 count only).  Whenever fewer than two clusters are available, generate a
 fresh GHZ block of ``block_size`` qubits; block generation succeeds per
 attempt with the chain acceptance probability for that size, so each block
-costs a geometric number of generation attempts.  With two or more clusters
-in stock, pick a pair (policy-defined) and attempt a link: success merges
+costs a geometric number of generation attempts.  With two clusters in
+stock, attempt to link them: success (probability eta_prime / 8) merges
 them, failure measures one qubit off each participant and remnants below two
 qubits are discarded.  A trial ends when some cluster reaches the target
 size, or when the step cap trips (reported as a failure, never an
@@ -20,34 +20,24 @@ loop, so the two sides cross-check each other.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field, fields
-from typing import Optional
 
 import numpy as np
 
 from .protocol import Cluster, ghz_success_probability, link_success_probability
 
 
-class PairingRule(enum.Enum):
-    LARGEST_FIRST = "largest-first"
-    SMALLEST_FIRST = "smallest-first"
-    RANDOM = "random"
+# Largest target the dense Markov solve accepts.
+MARKOV_MAX_TARGET = 16
 
 
 @dataclass(frozen=True)
 class GrowthPolicy:
-    """Growth configuration.
-
-    ``pairing`` is kept for interface completeness: under the bundled draw
-    rule the inventory never holds more than two clusters, so every rule
-    pairs the same two and the choice cannot affect any statistic.
-    """
+    """Growth configuration."""
 
     block_size: int = 4
     target_size: int = 8
-    pairing: PairingRule = PairingRule.LARGEST_FIRST
     step_cap: int = 1_000_000
 
     def __post_init__(self):
@@ -94,11 +84,9 @@ def run_trial(policy: GrowthPolicy, p_block: float, eta_prime: float,
     """One growth trial; returns (succeeded, inventory).
 
     The draw rule (generate a block only below two clusters) keeps the
-    inventory at two clusters or fewer, so the pairing rule never faces an
-    actual choice and the stock fits in two integer slots.  The link step
-    applies the same success probability and failure penalty as
-    :func:`blockadesim.protocol.link_clusters`; block generation attempts per
-    block are geometric with the chain acceptance probability, drawn by
+    inventory at two clusters or fewer, so the stock fits in two integer
+    slots.  The link step is the rule of the module docstring; block
+    generation attempts per block are geometric with the chain acceptance probability, drawn by
     inversion.  Uniform variates are consumed from buffered chunks, one per
     decision, so results are deterministic for a given generator state.
     """
@@ -187,7 +175,6 @@ class GrowthStatistics:
         out = {
             "block_size": self.policy.block_size,
             "target_size": self.policy.target_size,
-            "pairing": self.policy.pairing.value,
             "step_cap": self.policy.step_cap,
         }
         for f in fields(self):
@@ -272,8 +259,7 @@ class ExpectedCost:
     steps: float
 
 
-def expected_cost_markov(policy: GrowthPolicy, eta: float, eta_prime: float,
-                         max_target: int = 16) -> ExpectedCost:
+def expected_cost_markov(policy: GrowthPolicy, eta: float, eta_prime: float) -> ExpectedCost:
     """Exact expected growth costs by absorbing-Markov-chain solve.
 
     Inventory states are sorted size tuples (at most two entries, see module
@@ -281,9 +267,9 @@ def expected_cost_markov(policy: GrowthPolicy, eta: float, eta_prime: float,
     E[state] = c(state) + sum_next P(next|state) E[next]; solving the linear
     system for all transient states at once gives the exact values.
     """
-    if policy.target_size > max_target:
+    if policy.target_size > MARKOV_MAX_TARGET:
         raise ValueError(
-            f"target {policy.target_size} exceeds the state-space bound {max_target}"
+            f"target {policy.target_size} exceeds the state-space bound {MARKOV_MAX_TARGET}"
         )
     p_block = ghz_success_probability(policy.block_size, eta)
     if p_block <= 0.0:

@@ -30,20 +30,13 @@ Two pair stages run in parallel and their output ports are cross-recombined
 two-click patterns are accepted; each comes with a fixed local correction
 (bit flips plus one pi phase) mapping the conditional state onto the
 canonical (|gggg> + |ssss>) / sqrt(2).  Acceptance probability is eta^2 / 2.
-
-Cluster linking
----------------
-``link_clusters`` models the probabilistic merge of two stored cluster
-states: success with probability eta_prime / 8 joins them; failure costs one
-measured qubit from each participant, and remnants smaller than two qubits
-are discarded.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -292,8 +285,6 @@ def entangle_pair_sampled(absorption: AbsorptionModel, detector: DetectorModel,
 # ---------------------------------------------------------------------------
 # four-qubit chain
 
-GHZ_DETECTOR_NAMES = ("D1", "D2", "D3", "D4")
-
 # Accepted two-click patterns, ordered (D1, D2, D3, D4), and the local
 # correction mapping each conditional state to (|gggg> + |ssss>)/sqrt(2).
 # Corrections are ("x", register) bit flips and ("phase", register, angle)
@@ -461,48 +452,3 @@ class Cluster:
     def __post_init__(self):
         if not isinstance(self.size, int) or self.size < 1:
             raise ValueError(f"cluster size must be an integer >= 1, got {self.size!r}")
-
-
-@dataclass(frozen=True)
-class LinkResult:
-    success: bool
-    merged: Optional[Cluster]
-    remnants: tuple
-    measured_qubits: int
-    discarded_qubits: int
-
-
-def link_clusters(a: Cluster, b: Cluster, eta_prime: float,
-                  rng: np.random.Generator) -> LinkResult:
-    """Attempt to join two clusters through their end qubits.
-
-    Success (probability eta_prime / 8) merges them without qubit loss.
-    Failure measures out the two end qubits; a remnant smaller than two
-    qubits is no longer a cluster and is discarded.
-    """
-    if a is b:
-        raise ValueError("cannot link a cluster to itself")
-    p = link_success_probability(eta_prime)
-    if rng.random() < p:
-        return LinkResult(
-            success=True,
-            merged=Cluster(a.size + b.size),
-            remnants=(),
-            measured_qubits=0,
-            discarded_qubits=0,
-        )
-    remnants = []
-    discarded = 0
-    for part in (a, b):
-        left = part.size - 1
-        if left >= 2:
-            remnants.append(Cluster(left))
-        else:
-            discarded += left
-    return LinkResult(
-        success=False,
-        merged=None,
-        remnants=tuple(remnants),
-        measured_qubits=2,
-        discarded_qubits=discarded,
-    )

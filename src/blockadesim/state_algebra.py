@@ -140,16 +140,6 @@ class HybridState:
     def basis(cls, subsystems, key) -> "HybridState":
         return cls(subsystems, {tuple(key): 1.0})
 
-    @classmethod
-    def from_terms(cls, subsystems, terms: Iterable, normalize: bool = False) -> "HybridState":
-        amps = {}
-        subs = tuple(subsystems)
-        for key, value in terms:
-            k = _canonical_key(subs, tuple(key))
-            amps[k] = amps.get(k, 0.0) + complex(value)
-        state = cls(subs, amps)
-        return state.normalized() if normalize else state
-
     @property
     def subsystems(self) -> tuple:
         return self._subsystems

@@ -9,7 +9,6 @@ from blockadesim.budget import (
     BOLTZMANN_J_PER_K,
     PRESETS,
     REFERENCE_FIDELITY,
-    REFERENCE_RATES,
     BudgetParams,
     absorption_cross_section_m2,
     beam_area_m2,
@@ -194,12 +193,11 @@ def test_budget_report_json_round_trip():
     report = budget_report(preset("paper-58d"))
     blob = json.dumps(report.to_json_dict(), sort_keys=True)
     data = json.loads(blob)
-    assert set(data) == {"inputs", "derived", "dominant_error", "reference_rates"}
+    assert set(data) == {"inputs", "derived", "dominant_error"}
     assert data["dominant_error"] == "absorption_miss"
     assert data["derived"]["p_double_excitation"] == pytest.approx(0.57e-3, rel=1e-12)
     assert data["derived"]["reference_fidelity"] == REFERENCE_FIDELITY
     assert data["inputs"]["blockade_mhz"] == 2.9
-    assert data["reference_rates"] == REFERENCE_RATES
 
 
 def test_render_text_one_line_per_input():
@@ -211,8 +209,3 @@ def test_render_text_one_line_per_input():
     assert "dominant error: double_excitation" in text
     assert "p_absorption" in text
     assert str(REFERENCE_FIDELITY) in text
-
-
-def test_reference_rates_catalogue():
-    assert REFERENCE_RATES["spontaneous_and_blackbody_hz"] == pytest.approx(1e3)
-    assert REFERENCE_RATES["hom_coincidence_counts_per_s"] == pytest.approx(1500.0)

@@ -8,7 +8,6 @@ from blockadesim.growth import (
     ClusterInventory,
     ExpectedCost,
     GrowthPolicy,
-    PairingRule,
     expected_cost_markov,
     run_trial,
     simulate_growth,
@@ -206,8 +205,6 @@ def test_markov_identities():
 def test_markov_validation():
     with pytest.raises(ValueError, match="state-space bound"):
         expected_cost_markov(GrowthPolicy(block_size=4, target_size=20), 1.0, 1.0)
-    expected_cost_markov(GrowthPolicy(block_size=4, target_size=20), 1.0, 1.0,
-                         max_target=20)
     with pytest.raises(ValueError):
         expected_cost_markov(GrowthPolicy(), 0.0, 1.0)
     with pytest.raises(ValueError):
@@ -287,29 +284,13 @@ def test_simulate_growth_validation():
 
 
 def test_statistics_json_round_trip():
-    stats = simulate_growth(GrowthPolicy(pairing=PairingRule.RANDOM), 0.9, 0.8,
-                            seed=3, trials=20)
+    stats = simulate_growth(GrowthPolicy(), 0.9, 0.8, seed=3, trials=20)
     blob = json.dumps(stats.to_json_dict(), sort_keys=True)
     data = json.loads(blob)
-    assert data["pairing"] == "random"
     assert data["trials"] == 20
     assert data["block_size"] == 4
     assert "policy" not in data
     assert data["mean_blocks"] == stats.mean_blocks
-
-
-def test_pairing_rule_is_inert_under_draw_rule():
-    # the inventory never holds more than two clusters, so every pairing rule
-    # must produce bit-identical trajectories
-    results = [
-        simulate_growth(GrowthPolicy(pairing=rule), 0.85, 0.75, seed=44, trials=300)
-        for rule in PairingRule
-    ]
-    base = results[0]
-    for other in results[1:]:
-        assert other.mean_blocks == base.mean_blocks
-        assert other.mean_steps == base.mean_steps
-        assert other.link_success_rate == base.link_success_rate
 
 
 def test_expected_cost_is_dataclass_with_floats():

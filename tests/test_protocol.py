@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from blockadesim.ensemble import AbsorptionModel
@@ -19,7 +18,6 @@ from blockadesim.protocol import (
     ghz4_exact,
     ghz_pre_detection_state,
     ghz_success_probability,
-    link_clusters,
     link_success_probability,
     pair_pre_detection_state,
     psi_pair,
@@ -28,16 +26,6 @@ from blockadesim.state_algebra import fidelity
 from helpers import assert_within_3sigma
 
 RT2 = 1.0 / math.sqrt(2.0)
-
-
-class ScriptedRng:
-    """Deterministic stand-in for a Generator: plays back queued uniforms."""
-
-    def __init__(self, values):
-        self._values = list(values)
-
-    def random(self):
-        return self._values.pop(0)
 
 
 # ---------------------------------------------------------------------------
@@ -282,55 +270,3 @@ def test_cluster_validation():
         Cluster(-3)
     with pytest.raises(ValueError):
         Cluster(2.5)
-
-
-def test_link_clusters_success_merges():
-    res = link_clusters(Cluster(4), Cluster(6), 1.0, ScriptedRng([0.05]))
-    assert res.success
-    assert res.merged == Cluster(10)
-    assert res.remnants == ()
-    assert res.measured_qubits == 0 and res.discarded_qubits == 0
-
-
-def test_link_clusters_failure_bookkeeping():
-    res = link_clusters(Cluster(4), Cluster(3), 1.0, ScriptedRng([0.9]))
-    assert not res.success
-    assert res.merged is None
-    assert res.remnants == (Cluster(3), Cluster(2))
-    assert res.measured_qubits == 2
-    assert res.discarded_qubits == 0
-
-    res = link_clusters(Cluster(2), Cluster(2), 1.0, ScriptedRng([0.9]))
-    assert res.remnants == ()
-    assert res.measured_qubits == 2
-    assert res.discarded_qubits == 2
-
-    res = link_clusters(Cluster(2), Cluster(5), 1.0, ScriptedRng([0.9]))
-    assert res.remnants == (Cluster(4),)
-    assert res.discarded_qubits == 1
-
-    a = Cluster(4)
-    with pytest.raises(ValueError):
-        link_clusters(a, a, 1.0, ScriptedRng([0.0]))
-
-
-def test_link_clusters_qubit_conservation_random():
-    rng = np.random.default_rng(17)
-    for _ in range(300):
-        a = Cluster(int(rng.integers(2, 12)))
-        b = Cluster(int(rng.integers(2, 12)))
-        res = link_clusters(a, b, float(rng.uniform(0.1, 1.0)), rng)
-        before = a.size + b.size
-        after = (res.merged.size if res.merged else 0) \
-            + sum(c.size for c in res.remnants) \
-            + res.measured_qubits + res.discarded_qubits
-        assert after == before
-
-
-def test_link_clusters_success_rate():
-    rng = np.random.default_rng(123)
-    trials = 20_000
-    wins = sum(
-        link_clusters(Cluster(4), Cluster(4), 0.8, rng).success for _ in range(trials)
-    )
-    assert_within_3sigma(wins / trials, 0.1, trials, "link success rate")
