@@ -212,13 +212,11 @@ def _resolve_params(command: str, args, config_values: dict) -> dict:
         if spec.choices and value not in spec.choices:
             raise ConfigError(f"{spec.name} must be one of {spec.choices}")
         params[spec.name] = value
-    for key in config_values:
+    for key, raw in config_values.items():
         if key in known or key in ("seed", "format", "output"):
             continue
-        if command == "budget" and key in _BUDGET_FIELDS:
-            params[key] = float(config_values[key])
-            continue
-        raise ConfigError(f"unknown parameter {key!r} for command {command!r}")
+        key, value = _parse_override(command, f"{key}={raw}")
+        params[key] = value
     for text in getattr(args, "overrides", []) or []:
         key, value = _parse_override(command, text)
         params[key] = value
@@ -245,7 +243,9 @@ def _parse_range(command: str, text: str) -> tuple:
     count = int((stop - start) / step + 1e-9) + 1
     values = [start + i * step for i in range(count)]
     if key in index and index[key].parse in (int, _positive_int):
-        values = [int(round(v)) for v in values]
+        if not (start.is_integer() and step.is_integer()):
+            raise ConfigError(f"range for integer {key} needs integral start and step")
+        values = [int(v) for v in values]
     return key, tuple(values)
 
 
@@ -477,7 +477,7 @@ def run(config: RunConfig) -> str:
                 "seed": config.seed,
                 "rows": rows,
             }
-            return json.dumps(envelope, indent=2, sort_keys=True) + "\n"
+            return json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False) + "\n"
         if config.fmt == "csv":
             return _render_csv(rows)
         return _render_rows_text(rows)
@@ -494,7 +494,7 @@ def run(config: RunConfig) -> str:
             "params": config.params,
             "results": results,
         }
-        return json.dumps(envelope, indent=2, sort_keys=True) + "\n"
+        return json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if config.fmt == "csv":
         return _render_csv([row])
     return _render_result_text(config, results)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from typing import Optional
 
 import numpy as np
 
@@ -168,7 +169,7 @@ class GrowthStatistics:
     std_generation_attempts: float
     mean_steps: float
     std_steps: float
-    link_success_rate: float      # pooled successes / pooled attempts
+    link_success_rate: Optional[float]  # pooled successes / attempts; None without attempts
     total_link_attempts: int
 
     def to_json_dict(self) -> dict:
@@ -246,7 +247,7 @@ def simulate_growth(policy: GrowthPolicy, eta: float, eta_prime: float,
         std_generation_attempts=std_gens,
         mean_steps=mean_steps,
         std_steps=std_steps,
-        link_success_rate=link_successes / link_attempts if link_attempts else math.nan,
+        link_success_rate=link_successes / link_attempts if link_attempts else None,
         total_link_attempts=link_attempts,
     )
 

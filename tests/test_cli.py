@@ -75,6 +75,20 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
     assert "unknown parameter" in capsys.readouterr().err
 
 
+def test_bad_budget_field_in_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "budget.cfg"
+    cfg.write_text("dark_count_rate_hz = abc\n")
+    assert main(["budget", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "dark_count_rate_hz" in capsys.readouterr().err
+
+
+def test_removed_parameters_are_unknown(capsys):
+    assert main(["grow", "--pairing", "random"]) == EXIT_CONFIG
+    assert main(["budget", "--set", "boltzmann_j_per_k=1e-23"]) == EXIT_CONFIG
+    assert main(["budget", "--set", "cloud_sigma_m=3e-6"]) == EXIT_CONFIG
+    capsys.readouterr()
+
+
 def test_exit_codes():
     assert (EXIT_OK, EXIT_CONFIG, EXIT_VALIDATION, EXIT_CAP) == (0, 2, 3, 4)
 
@@ -181,6 +195,23 @@ def test_grow_includes_markov_cross_check():
     assert big["results"]["markov"] is None
 
 
+def _reject_constant(name):
+    raise AssertionError(f"artifact contains {name}")
+
+
+def test_json_artifacts_are_strict(tmp_path, capsys):
+    # target = block size: no link is attempted, so there is no link rate
+    text = run_text(["grow", "--block-size", "4", "--target", "4", "--trials", "20"])
+    doc = json.loads(text, parse_constant=_reject_constant)
+    assert doc["results"]["link_success_rate"] is None
+    # a non-finite value is refused, never written
+    out = tmp_path / "budget.json"
+    assert main(["budget", "--set", "temperature_k=inf",
+                 "--output", str(out)]) == EXIT_VALIDATION
+    assert not out.exists()
+    assert "error:" in capsys.readouterr().err
+
+
 def test_entangle_text_format():
     text = run_text(["entangle", "--format", "text", "--seed", "4"])
     first = text.splitlines()[0]
@@ -242,6 +273,14 @@ def test_sweep_range_validation(capsys):
                  "--range", "p_abs=0.5:1:0.25", "--range", "gamma_dc=0:10:5",
                  ]) == EXIT_CONFIG
     capsys.readouterr()
+
+
+def test_sweep_rejects_fractional_integer_ranges(capsys):
+    assert main(["sweep", "grow", "--range", "trials=1:3:0.5"]) == EXIT_CONFIG
+    assert main(["sweep", "ghz", "--range", "qubits=4.5:8:2"]) == EXIT_CONFIG
+    assert "integral" in capsys.readouterr().err
+    config = parse_args(["sweep", "grow", "--range", "trials=1:3.5:1"])
+    assert config.ranges == (("trials", (1, 2, 3)),)
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,32 @@ def test_run_trial_discards_subcritical_remnants():
     inv.assert_ledger_balanced(4)
 
 
+def test_run_trial_failed_link_keeps_large_remnant_and_drops_small():
+    # target 12: draw, draw, win -> (8); draw -> (8, 4); fail -> (7, 3);
+    # fail -> (6, 2); fail at (6, 2) keeps the 5-qubit remnant and discards
+    # the 1-qubit one; draw, win -> (9); draw, win -> (13)
+    script = [0.5, 0.5, 0.01, 0.5, 0.9, 0.9, 0.9, 0.5, 0.01, 0.5, 0.01]
+    policy = GrowthPolicy(block_size=4, target_size=12, step_cap=7)
+    ok, inv = run_trial(policy, 1.0, 1.0, ArrayRng(script))
+    assert not ok
+    assert [c.size for c in inv.clusters] == [5]
+    assert inv.qubits_measured == 6
+    assert inv.qubits_discarded == 1
+    inv.assert_ledger_balanced(4)
+
+    policy = GrowthPolicy(block_size=4, target_size=12)
+    ok, inv = run_trial(policy, 1.0, 1.0, ArrayRng(script))
+    assert ok
+    assert [c.size for c in inv.clusters] == [13]
+    assert inv.elapsed_steps == 11
+    assert inv.consumed_ghz_blocks == 5
+    assert inv.link_attempts == 6
+    assert inv.link_successes == 3
+    assert inv.qubits_measured == 6
+    assert inv.qubits_discarded == 1
+    inv.assert_ledger_balanced(4)
+
+
 def test_run_trial_geometric_attempts_by_inversion():
     # block = target: one draw finishes the trial, so generation_attempts
     # exposes the geometric inversion for a single scripted uniform
@@ -249,7 +275,7 @@ def test_simulate_growth_link_rate_and_geometry():
     assert gen.mean_steps == 1.0
     sigma = gen.std_generation_attempts / math.sqrt(gen.trials)
     assert abs(gen.mean_generation_attempts - 1.0 / p_block) <= 3.0 * sigma
-    assert math.isnan(gen.link_success_rate)
+    assert gen.link_success_rate is None
 
 
 def test_simulate_growth_deterministic_and_seed_sensitive():
