@@ -87,8 +87,8 @@ def run_trial(policy: GrowthPolicy, p_block: float, eta_prime: float,
     The draw rule (generate a block only below two clusters) keeps the
     inventory at two clusters or fewer, so the stock fits in two integer
     slots.  The link step is the rule of the module docstring; block
-    generation attempts per block are geometric with the chain acceptance probability, drawn by
-    inversion.  Uniform variates are consumed from buffered chunks, one per
+    generation attempts per block are geometric with the chain acceptance
+    probability, drawn by inversion.  Uniform variates are consumed from buffered chunks, one per
     decision, so results are deterministic for a given generator state.
     """
     q = link_success_probability(eta_prime)

@@ -8,9 +8,7 @@ with ``python tests/test_golden.py`` and names the change in CHANGES.md.
 """
 
 import json
-import math
 import re
-import sys
 from pathlib import Path
 
 import pytest
@@ -56,8 +54,6 @@ def _same(got, want) -> bool:
             return False
         if not isinstance(got, (int, float)) or not isinstance(want, (int, float)):
             return False
-        if math.isnan(want):
-            return math.isnan(got)
         return abs(got - want) <= TOL * max(1.0, abs(want))
     if isinstance(want, dict):
         return (isinstance(got, dict) and got.keys() == want.keys()
@@ -110,4 +106,4 @@ def regenerate():
 
 
 if __name__ == "__main__":
-    sys.exit(regenerate())
+    regenerate()
