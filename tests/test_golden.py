@@ -38,6 +38,8 @@ CASES = {
                         "--format", "text"],
     "sweep_ghz.csv": ["sweep", "ghz", "--set", "qubits=6", "--range", "eta=0.2:1.0:0.2",
                       "--format", "csv"],
+    "sweep_ghz4.json": ["sweep", "ghz", "--set", "qubits=4", "--set", "p_abs=0.95",
+                        "--range", "eta=0.3:0.9:0.3"],
     "sweep_entangle.json": ["sweep", "entangle", "--range", "eta=0.2:1.0:0.4",
                             "--range", "p_abs=0.95:1.0:0.05"],
     "sweep_budget.txt": ["sweep", "budget", "--set", "preset=paper-58d",
