@@ -84,7 +84,7 @@ def _apply_level_map(obj, index: int, level_map: dict):
             for level, coeff in level_map.get(key[index], ((key[index], 1.0),)):
                 new = key[:index] + (level,) + key[index + 1:]
                 out[new] = out.get(new, 0.0) + coeff * amp
-        return HybridState(obj.subsystems, out)
+        return HybridState._trusted(obj.subsystems, out)
     if isinstance(obj, DensityOperator):
         out = {}
         for (ket, bra), v in obj.elements.items():
@@ -95,7 +95,7 @@ def _apply_level_map(obj, index: int, level_map: dict):
                         bra[:index] + (bl,) + bra[index + 1:],
                     )
                     out[pair] = out.get(pair, 0.0) + kc * complex(bc).conjugate() * v
-        return DensityOperator(obj.subsystems, out)
+        return DensityOperator._trusted(obj.subsystems, out)
     raise TypeError(f"expected HybridState or DensityOperator, got {type(obj).__name__}")
 
 
@@ -170,7 +170,7 @@ def blockade_absorb(state: HybridState, ensemble: int, mode: int, absorption: Ab
                     f"absorption branches collide on {new!r} (from {src!r} and {key!r})"
                 )
             out[new] = out.get(new, 0.0) + value
-    result = HybridState(state.subsystems, out)
+    result = HybridState._trusted(state.subsystems, out)
     if abs(result.norm_squared() - before) > ATOL_STATE:
         raise ValueError("absorption failed to preserve the norm")
     return result
@@ -204,7 +204,7 @@ def transfer_to_storage(obj, index: int):
                     f"storage transfer collides on {new!r} "
                     f"(register {index} holds both optical and storage weight)"
                 )
-        return HybridState(
+        return HybridState._trusted(
             obj.subsystems, {relabel(k): a for k, a in obj.amplitudes.items()}
         )
     kets = {k for k, _ in obj.elements} | {b for _, b in obj.elements}
@@ -217,7 +217,7 @@ def transfer_to_storage(obj, index: int):
                 f"storage transfer collides on {new!r} "
                 f"(register {index} holds both optical and storage weight)"
             )
-    return DensityOperator(
+    return DensityOperator._trusted(
         obj.subsystems,
         {(relabel(k), relabel(b)): v for (k, b), v in obj.elements.items()},
     )

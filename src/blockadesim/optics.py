@@ -18,10 +18,14 @@ explicit phase shift instead of switching conventions.
 Detection: ``DetectorModel`` folds quantum efficiency and a Poissonian dark
 count within the gate window into a POVM on the occupation number.  By
 default detectors are threshold (click / no click); ``number_resolving=True``
-switches to counting statistics.  Conditioning on an outcome destroys the
-coherence between different occupations of the measured mode, so detection
-returns density operators even for pure inputs; the measured mode is left in
-vacuum.
+switches to counting statistics.  The POVM is diagonal in the occupations,
+so a pure state splits into pure branches, one per occupation tuple of the
+detected modes (``group_occupations``, which depends on the state only), and
+a joint outcome is a weighted mixture of those branches (the weights depend
+on the detector only).  Branches stay pure; ``detect_all_probabilities``
+mixes them into density operators only for its result, with the measured
+modes left in vacuum.  ``detect_outcomes`` conditions one mode at a time on
+density operators and serves as the independent oracle of the joint table.
 """
 
 from __future__ import annotations
@@ -170,7 +174,7 @@ def beam_splitter(state: HybridState, mode_i: int, mode_j: int, *, inverse: bool
             new[mode_j] = q
             new = tuple(new)
             out[new] = out.get(new, 0.0) + amp * coeff
-    return HybridState(state.subsystems, out)
+    return HybridState._trusted(state.subsystems, out)
 
 
 def phase_shift(state: HybridState, mode: int, phi: float) -> HybridState:
@@ -179,7 +183,7 @@ def phase_shift(state: HybridState, mode: int, phi: float) -> HybridState:
     out = {}
     for key, amp in state.amplitudes.items():
         out[key] = amp * complex(math.cos(key[mode] * phi), math.sin(key[mode] * phi))
-    return HybridState(state.subsystems, out)
+    return HybridState._trusted(state.subsystems, out)
 
 
 def _click_probability(det: DetectorModel, n: int) -> float:
@@ -272,62 +276,110 @@ def detect(state, mode: int, det: DetectorModel, rng: np.random.Generator) -> tu
     return HeraldPattern((outcome,)), post
 
 
-def detect_all_probabilities(state, modes: Sequence, det: DetectorModel) -> dict:
-    """Joint outcome table for one detector model watching several modes.
+@dataclass(frozen=True)
+class OccupationGroups:
+    """State-only half of joint detection: a pure state split by occupations.
 
-    Returns ``{HeraldPattern: (probability, post_state_or_None)}`` covering
-    the complete outcome set; probabilities sum to the input trace.  Post
-    states are normalized with every measured mode reset to vacuum.  Pattern
-    entries follow the order of ``modes``.
+    ``branches`` pairs each occupation tuple of the detected ``modes`` (in
+    their order) with the pure branch holding those amplitudes, the detected
+    modes reset to vacuum.  ``cutoffs`` are the detected modes' cutoffs,
+    which fix the outcome set.  Immutable, so one grouping can serve any
+    number of detector models.
     """
+
+    modes: tuple
+    cutoffs: tuple
+    branches: tuple
+
+    def __len__(self) -> int:
+        """Amplitudes over all branches (the support of the grouped state)."""
+        return sum(len(branch) for _, branch in self.branches)
+
+    def map(self, transform) -> "OccupationGroups":
+        """Same grouping with ``transform`` applied to every branch."""
+        return OccupationGroups(self.modes, self.cutoffs,
+                                tuple((occ, transform(b)) for occ, b in self.branches))
+
+
+def group_occupations(state: HybridState, modes: Sequence) -> OccupationGroups:
+    """Group a pure state's amplitudes by the occupations of ``modes``."""
+    if not isinstance(state, HybridState):
+        raise TypeError(f"expected HybridState, got {type(state).__name__}")
     modes = tuple(modes)
     if len(set(modes)) != len(modes):
         raise ValueError("detected modes must be distinct")
     if not modes:
         raise ValueError("need at least one mode to detect")
-    rho = as_density(state)
-    cutoffs = [_require_mode(rho, m).cutoff for m in modes]
-    weights = [
-        {n: _outcome_weights(det, n) for n in range(c + 1)} for c in cutoffs
-    ]
-    patterns = list(itertools.product(*(_possible_outcomes(det, c) for c in cutoffs)))
-
-    # group operator elements by the measured-mode occupations of ket and bra;
-    # only occupation-diagonal elements survive any projective photon count
+    cutoffs = tuple(_require_mode(state, m).cutoff for m in modes)
     grouped = {}
-    for (ket, bra), v in rho.elements.items():
-        occ = tuple(ket[m] for m in modes)
-        if tuple(bra[m] for m in modes) != occ:
-            continue
-        new_ket = list(ket)
-        new_bra = list(bra)
+    for key, amp in state:
+        new = list(key)
         for m in modes:
-            new_ket[m] = 0
-            new_bra[m] = 0
-        entry = grouped.setdefault(occ, ({}, [0.0]))
-        pair = (tuple(new_ket), tuple(new_bra))
-        entry[0][pair] = entry[0].get(pair, 0.0) + v
-        if ket == bra:
-            entry[1][0] += v.real
+            new[m] = 0
+        # fixed occupations within a group: the reset keys stay distinct
+        grouped.setdefault(tuple(key[m] for m in modes), {})[tuple(new)] = amp
+    subs = state.subsystems
+    return OccupationGroups(modes, cutoffs, tuple(
+        (occ, HybridState._trusted(subs, amps)) for occ, amps in grouped.items()))
 
-    out = {}
-    for pattern in patterns:
-        prob = 0.0
-        elems = {}
-        for occ, (block, block_prob) in grouped.items():
+
+def _pattern_weights(det: DetectorModel, cutoffs: Sequence, occupations: Sequence) -> list:
+    """Detector-only half of joint detection.
+
+    Returns ``[(HeraldPattern, (weight per occupation tuple, ...)), ...]``
+    over the complete outcome set of detectors on modes with ``cutoffs``.
+    """
+    per_mode = [{n: _outcome_weights(det, n) for n in range(c + 1)} for c in cutoffs]
+    out = []
+    for pattern in itertools.product(*(_possible_outcomes(det, c) for c in cutoffs)):
+        weights = []
+        for occ in occupations:
             w = 1.0
             for i, n in enumerate(occ):
-                w *= weights[i][n].get(pattern[i], 0.0)
+                w *= per_mode[i][n].get(pattern[i], 0.0)
                 if w == 0.0:
                     break
+            weights.append(w)
+        out.append((HeraldPattern(pattern), tuple(weights)))
+    return out
+
+
+def detect_all_probabilities(state, modes: Sequence, det: DetectorModel) -> dict:
+    """Joint outcome table for one detector model watching several modes.
+
+    ``state`` is a pure state, or its ``group_occupations(state, modes)``
+    (possibly with the branches mapped), which lets one grouping serve many
+    detector models.  Returns ``{HeraldPattern: (probability,
+    post_state_or_None)}`` covering the complete outcome set; probabilities
+    sum to the input norm.  Post states are normalized density operators over
+    the branches' register, every measured mode reset to vacuum.  Pattern
+    entries follow the order of ``modes``.
+    """
+    if isinstance(state, OccupationGroups):
+        groups = state
+        if groups.modes != tuple(modes):
+            raise ValueError(f"grouping is over modes {groups.modes}, not {tuple(modes)}")
+    else:
+        groups = group_occupations(state, modes)
+    branches = [branch for _, branch in groups.branches]
+    norms = [branch.norm_squared() for branch in branches]
+    table = _pattern_weights(det, groups.cutoffs, [occ for occ, _ in groups.branches])
+    out = {}
+    for pattern, weights in table:
+        prob = 0.0
+        elems = {}
+        for w, norm, branch in zip(weights, norms, branches):
             if w == 0.0:
                 continue
-            prob += w * block_prob[0]
-            for pair, v in block.items():
-                elems[pair] = elems.get(pair, 0.0) + w * v
-        key = HeraldPattern(pattern)
+            prob += w * norm
+            items = list(branch)
+            for ket, a in items:
+                for bra, b in items:
+                    pair = (ket, bra)
+                    elems[pair] = elems.get(pair, 0.0) + w * (a * b.conjugate())
         if prob <= ATOL_STATE:
-            out[key] = (0.0, None)
+            out[pattern] = (0.0, None)
         else:
-            out[key] = (prob, DensityOperator(rho.subsystems, elems).scaled(1.0 / prob))
+            rho = DensityOperator._trusted(branches[0].subsystems, elems)
+            out[pattern] = (prob, rho.scaled(1.0 / prob))
     return out

@@ -30,6 +30,13 @@ Two pair stages run in parallel and their output ports are cross-recombined
 two-click patterns are accepted; each comes with a fixed local correction
 (bit flips plus one pi phase) mapping the conditional state onto the
 canonical (|gggg> + |ssss>) / sqrt(2).  Acceptance probability is eta^2 / 2.
+
+The chain is evaluated branch by branch: the pre-detection state is split
+by the occupations of the four detected ports, and each branch, a pure
+state of the registers once the ports are vacuum, is moved to the storage
+basis.  That grouping depends on the absorption model only and is cached,
+so a sweep over detector efficiency builds and groups the state once; each
+detector model then only re-weights the branches into per-pattern states.
 """
 
 from __future__ import annotations
@@ -37,12 +44,21 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .ensemble import AbsorptionModel, blockade_absorb, gate_phase, gate_x, transfer_to_storage
-from .optics import DetectorModel, HeraldPattern, beam_splitter, detect_outcomes, detect_all_probabilities, phase_shift
+from .optics import (
+    DetectorModel,
+    HeraldPattern,
+    beam_splitter,
+    detect_all_probabilities,
+    detect_outcomes,
+    group_occupations,
+    phase_shift,
+)
 from .state_algebra import (
     DensityOperator,
     EnsembleQudit,
@@ -298,6 +314,13 @@ GHZ_CORRECTIONS = {
 
 ACCEPTED_GHZ_PATTERNS = frozenset(HeraldPattern(p) for p in GHZ_CORRECTIONS)
 
+# Modes watched by D1..D4: port1, port2, port4, port3 (see ghz4_exact).
+GHZ_DETECTED_MODES = (4, 5, 7, 6)
+
+# Absorption models whose grouped branches stay cached.  A sweep holds one
+# absorption model fixed, so a handful is plenty.
+GHZ_GROUPS_CACHE_SIZE = 4
+
 
 def ghz_register() -> tuple:
     return (
@@ -340,6 +363,27 @@ def apply_corrections(rho, corrections):
     return rho
 
 
+def _drop_vacuum_ports(branch: HybridState) -> HybridState:
+    """Registers A..D of a branch whose four ports are all in vacuum."""
+    return HybridState._trusted(branch.subsystems[:4],
+                                {key[:4]: amp for key, amp in branch})
+
+
+@lru_cache(maxsize=GHZ_GROUPS_CACHE_SIZE)
+def _ghz_register_groups(absorption: AbsorptionModel) -> tuple:
+    """(pre-detection state, its occupation groups as storage-basis register branches).
+
+    Depends on the absorption model only; both values are immutable.
+    """
+    pre = ghz_pre_detection_state(absorption)
+    stored = pre
+    for reg in range(4):
+        stored = transfer_to_storage(stored, reg)
+    # every port is detected, so each branch is a pure state of A..D
+    groups = group_occupations(stored, GHZ_DETECTED_MODES).map(_drop_vacuum_ports)
+    return pre, groups
+
+
 @dataclass(frozen=True)
 class GhzBranch:
     pattern: HeraldPattern
@@ -378,25 +422,22 @@ def ghz4_exact(absorption: AbsorptionModel = AbsorptionModel(),
     Detector D1 watches port 1, D2 port 2, D3 port 4, D4 port 3 (the two
     cross-recombiners feed (D1, D4) and (D2, D3) respectively).  Accepted
     patterns get their correction applied; every pattern's raw conditional
-    state is reported for diagnostics.
+    state is reported for diagnostics.  The conditional states are mixed
+    from the cached register branches (see the module docstring).
     """
-    pre = ghz_pre_detection_state(absorption)
-    table = detect_all_probabilities(pre, (4, 5, 7, 6), detector)
+    pre, groups = _ghz_register_groups(absorption)
+    table = detect_all_probabilities(groups, GHZ_DETECTED_MODES, detector)
 
     accepted = []
     rejected = []
     success = 0.0
     target = canonical_ghz()
-    for pattern, (prob, rho) in sorted(table.items(), key=lambda kv: kv[0].clicks):
+    for pattern, (prob, conditional) in sorted(table.items(), key=lambda kv: kv[0].clicks):
         is_accepted = pattern in ACCEPTED_GHZ_PATTERNS
-        conditional = None
         corrected = None
         fid = None
         corrections = GHZ_CORRECTIONS.get(tuple(pattern.clicks), ()) if is_accepted else ()
-        if rho is not None:
-            conditional = partial_trace(rho, (0, 1, 2, 3))
-            for reg in range(4):
-                conditional = transfer_to_storage(conditional, reg)
+        if conditional is not None:
             corrected = apply_corrections(conditional, corrections)
             fid = fidelity(corrected, target)
         branch = GhzBranch(

@@ -6,6 +6,10 @@ States are sparse maps from basis-label tuples to complex amplitudes, so the
 protocol circuits stay exact (no truncation error, only float rounding) and
 cheap enough to enumerate outcome by outcome.
 
+Public constructors validate every label.  Operations that build new keys
+from the keys of an existing (already validated) state use the internal
+``_trusted`` constructors instead, which skip that check.
+
 Two numeric tolerances are pinned here and used everywhere: ``ATOL_STATE``
 for algebraic identities (norms, traces, hermiticity) and the looser
 ``ATOL_PSD`` for eigenvalue positivity checks, which accumulate more rounding.
@@ -137,6 +141,18 @@ class HybridState:
         self._amps = amps
 
     @classmethod
+    def _trusted(cls, subsystems: tuple, amplitudes: dict) -> "HybridState":
+        """Internal: skip label validation for keys built from validated keys.
+
+        ``subsystems`` must be a tuple and the values complex; exact zeros
+        are still dropped.
+        """
+        state = object.__new__(cls)
+        state._subsystems = subsystems
+        state._amps = {k: v for k, v in amplitudes.items() if v != 0}
+        return state
+
+    @classmethod
     def basis(cls, subsystems, key) -> "HybridState":
         return cls(subsystems, {tuple(key): 1.0})
 
@@ -171,7 +187,7 @@ class HybridState:
 
     def scaled(self, factor) -> "HybridState":
         factor = complex(factor)
-        return HybridState(self._subsystems, {k: factor * a for k, a in self._amps.items()})
+        return HybridState._trusted(self._subsystems, {k: factor * a for k, a in self._amps.items()})
 
     def add(self, other: "HybridState") -> "HybridState":
         if not same_structure(self, other):
@@ -179,7 +195,7 @@ class HybridState:
         amps = dict(self._amps)
         for k, a in other._amps.items():
             amps[k] = amps.get(k, 0.0) + a
-        return HybridState(self._subsystems, amps)
+        return HybridState._trusted(self._subsystems, amps)
 
     def inner(self, other: "HybridState") -> complex:
         """<self|other>, conjugate-linear in self."""
@@ -221,7 +237,7 @@ def tensor(a: HybridState, b: HybridState) -> HybridState:
     for ka, va in a.amplitudes.items():
         for kb, vb in b.amplitudes.items():
             amps[ka + kb] = va * vb
-    return HybridState(subs, amps)
+    return HybridState._trusted(subs, amps)
 
 
 class DensityOperator:
@@ -249,13 +265,25 @@ class DensityOperator:
         self._elems = elems
 
     @classmethod
+    def _trusted(cls, subsystems: tuple, elements: dict) -> "DensityOperator":
+        """Internal: skip label validation for keys built from validated keys.
+
+        ``subsystems`` must be a tuple and the values complex; exact zeros
+        are still dropped.
+        """
+        rho = object.__new__(cls)
+        rho._subsystems = subsystems
+        rho._elems = {p: v for p, v in elements.items() if v != 0}
+        return rho
+
+    @classmethod
     def from_pure(cls, psi: HybridState) -> "DensityOperator":
         elems = {}
         items = list(psi.amplitudes.items())
         for ket, va in items:
             for bra, vb in items:
                 elems[(ket, bra)] = va * vb.conjugate()
-        return cls(psi.subsystems, elems)
+        return cls._trusted(psi.subsystems, elems)
 
     @classmethod
     def mixture(cls, components: Iterable) -> "DensityOperator":
@@ -286,7 +314,7 @@ class DensityOperator:
 
     def scaled(self, factor) -> "DensityOperator":
         factor = complex(factor)
-        return DensityOperator(
+        return DensityOperator._trusted(
             self._subsystems, {p: factor * v for p, v in self._elems.items()}
         )
 
@@ -296,7 +324,7 @@ class DensityOperator:
         elems = dict(self._elems)
         for p, v in other._elems.items():
             elems[p] = elems.get(p, 0.0) + v
-        return DensityOperator(self._subsystems, elems)
+        return DensityOperator._trusted(self._subsystems, elems)
 
     def trace(self) -> complex:
         return complex(sum(v for (k, b), v in self._elems.items() if k == b))
@@ -390,14 +418,15 @@ def measure_projective(state: HybridState, subsystem: int, labels) -> tuple:
     prob /= total
     if prob <= ATOL_STATE:
         return 0.0, None
-    post = HybridState(subs, kept).normalized()
+    post = HybridState._trusted(subs, kept).normalized()
     return prob, post
 
 
 def fidelity(rho, psi: HybridState) -> float:
-    """Pure-target fidelity <psi|rho|psi>; accepts a pure state for rho too."""
-    rho = as_density(rho)
-    value = rho.expectation(psi)
+    """Pure-target fidelity <psi|rho|psi>; for a pure state phi it is |<psi|phi>|^2."""
+    if isinstance(rho, HybridState):
+        return float(min(abs(psi.inner(rho)) ** 2, 1.0))
+    value = as_density(rho).expectation(psi)
     if abs(value.imag) > ATOL_PSD:
         raise ValueError(f"fidelity came out non-real ({value}); operator not hermitian?")
     # clip float dust just outside [0, 1]
@@ -424,7 +453,7 @@ def partial_trace(rho, keep) -> DensityOperator:
             continue
         pair = (tuple(ket[i] for i in keep), tuple(bra[i] for i in keep))
         elems[pair] = elems.get(pair, 0.0) + v
-    return DensityOperator(new_subs, elems)
+    return DensityOperator._trusted(new_subs, elems)
 
 
 def basis_iter(subsystems) -> Iterator:

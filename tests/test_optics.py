@@ -238,22 +238,36 @@ def test_number_resolving_perfect_detector_counts_exactly():
 
 
 def test_detect_all_matches_sequential_composition():
-    # independent factorization oracle: P(o1, o2) = P(o1) P(o2 | o1)
+    # independent factorization oracle: P(o1, o2) = P(o1) P(o2 | o1), and the
+    # joint post state is the post state of the second conditioning
     rng = np.random.default_rng(77)
-    det = DetectorModel(efficiency=0.55, dark_count_rate_hz=30.0, gate_time_s=5e-6)
     subs = (EnsembleQudit("A"), OpticalMode(2, "m1"), OpticalMode(2, "m2"))
-    for _ in range(25):
-        st = random_state(rng, subs)
-        table = detect_all_probabilities(st, (1, 2), det)
-        assert abs(sum(p for p, _ in table.values()) - 1.0) < 1e-10
-        sequential = {}
-        for o1, p1, post1 in detect_outcomes(st, 1, det):
-            if post1 is None:
-                continue
-            for o2, p2, _ in detect_outcomes(post1, 2, det):
-                sequential[(o1, o2)] = p1 * p2
-        for pattern, (p, _) in table.items():
-            assert p == pytest.approx(sequential.get(tuple(pattern.clicks), 0.0), abs=1e-10)
+    detectors = (
+        DetectorModel(efficiency=0.55, dark_count_rate_hz=30.0, gate_time_s=5e-6),
+        DetectorModel(efficiency=0.55, dark_count_rate_hz=3e4, gate_time_s=5e-6,
+                      number_resolving=True),
+    )
+    for det in detectors:
+        for _ in range(25):
+            st = random_state(rng, subs)
+            table = detect_all_probabilities(st, (1, 2), det)
+            assert abs(sum(p for p, _ in table.values()) - 1.0) < 1e-10
+            sequential = {}
+            for o1, p1, post1 in detect_outcomes(st, 1, det):
+                if post1 is None:
+                    continue
+                for o2, p2, post12 in detect_outcomes(post1, 2, det):
+                    sequential[(o1, o2)] = (p1 * p2, post12)
+            for pattern, (p, post) in table.items():
+                p_seq, post_seq = sequential.get(tuple(pattern.clicks), (0.0, None))
+                assert p == pytest.approx(p_seq, abs=1e-10)
+                if post is None or post_seq is None:
+                    assert p < 1e-10 and p_seq < 1e-10
+                    continue
+                keys = set(post.elements) | set(post_seq.elements)
+                for ket, bra in keys:
+                    assert post.element(ket, bra) == pytest.approx(
+                        post_seq.element(ket, bra), abs=1e-10)
 
 
 def test_detect_all_zero_probability_patterns_have_no_post():
@@ -272,6 +286,8 @@ def test_detect_all_zero_probability_patterns_have_no_post():
         detect_all_probabilities(st, (0, 0), DetectorModel.ideal())
     with pytest.raises(ValueError):
         detect_all_probabilities(st, (), DetectorModel.ideal())
+    with pytest.raises(TypeError):
+        detect_all_probabilities(st.to_density(), (0, 1), DetectorModel.ideal())
 
 
 def test_detect_sampling_frequencies_match_probabilities():

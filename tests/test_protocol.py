@@ -1,9 +1,12 @@
+import json
 import math
 
 import pytest
 
-from blockadesim.ensemble import AbsorptionModel
-from blockadesim.optics import DetectorModel, HeraldPattern
+from blockadesim import protocol
+from blockadesim.cli import parse_args, run
+from blockadesim.ensemble import AbsorptionModel, transfer_to_storage
+from blockadesim.optics import DetectorModel, HeraldPattern, detect_outcomes
 from blockadesim.protocol import (
     ACCEPTED_GHZ_PATTERNS,
     DOWN,
@@ -22,7 +25,7 @@ from blockadesim.protocol import (
     pair_pre_detection_state,
     psi_pair,
 )
-from blockadesim.state_algebra import fidelity
+from blockadesim.state_algebra import DensityOperator, fidelity, partial_trace
 from helpers import assert_within_3sigma
 
 RT2 = 1.0 / math.sqrt(2.0)
@@ -217,6 +220,65 @@ def test_ghz_outcome_enumeration_is_complete():
     assert out.branch((True, True, False, False)).accepted
     with pytest.raises(KeyError):
         out.branch((True, True, True, True))
+
+
+def test_ghz_conditional_states_match_sequential_detection_chain():
+    # oracle: full density operator, one detector at a time on the modes of
+    # D1..D4, then reduction to the registers and storage transfer
+    absorption, det = AbsorptionModel(0.9), DetectorModel(efficiency=0.7)
+    modes = (4, 5, 7, 6)
+    reference = {}
+
+    def descend(rho, depth, prefix, prob):
+        for outcome, q, post in detect_outcomes(rho, modes[depth], det):
+            if post is None:
+                continue
+            if depth + 1 < len(modes):
+                descend(post, depth + 1, prefix + (outcome,), prob * q)
+            else:
+                reference[prefix + (outcome,)] = (prob * q, post)
+
+    descend(DensityOperator.from_pure(ghz_pre_detection_state(absorption)), 0, (), 1.0)
+    out = ghz4_exact(absorption, det)
+    reduced = [b for b in out.accepted + out.rejected if b.conditional_state is not None]
+    assert {b.pattern.clicks for b in reduced} == set(reference)
+    for branch in reduced:
+        prob, post = reference[branch.pattern.clicks]
+        assert branch.probability == pytest.approx(prob, abs=1e-12)
+        want = partial_trace(post, (0, 1, 2, 3))
+        for reg in range(4):
+            want = transfer_to_storage(want, reg)
+        got = branch.conditional_state
+        for ket, bra in set(want.elements) | set(got.elements):
+            assert got.element(ket, bra) == pytest.approx(want.element(ket, bra), abs=1e-12)
+
+
+def _ghz_summary(out):
+    return [(b.pattern, b.probability, b.fidelity,
+             None if b.conditional_state is None else dict(b.conditional_state.elements),
+             None if b.corrected_state is None else dict(b.corrected_state.elements))
+            for b in out.accepted + out.rejected]
+
+
+def test_ghz_group_cache_changes_no_result():
+    p = 0.93
+    etas = (0.4, 0.8, 0.4)
+    groups = protocol._ghz_register_groups
+    groups.cache_clear()
+    cached = [ghz4_exact(AbsorptionModel(p), DetectorModel(efficiency=eta)) for eta in etas]
+    assert (groups.cache_info().misses, groups.cache_info().hits) == (1, 2)
+    for eta, got in zip(etas, cached):
+        groups.cache_clear()
+        fresh = ghz4_exact(AbsorptionModel(p), DetectorModel(efficiency=eta))
+        assert _ghz_summary(got) == _ghz_summary(fresh)
+    # a sweep row (second point served from the cache) is the standalone run
+    groups.cache_clear()
+    rows = json.loads(run(parse_args(["sweep", "ghz", "--set", "qubits=4", "--set", f"p_abs={p}",
+                                      "--range", "eta=0.4:0.8:0.4"])))["rows"]
+    groups.cache_clear()
+    single = json.loads(run(parse_args(["ghz", "--eta", "0.8", "--p-abs", str(p)])))
+    assert rows[1]["eta"] == 0.8
+    assert rows[1]["circuit_success_probability"] == single["results"]["circuit"]["success_probability"]
 
 
 def test_ghz_pre_detection_state_is_normalized():
