@@ -191,6 +191,22 @@ def _mean_std(values: np.ndarray) -> tuple:
     return mean, std
 
 
+def growth_rates(policy: GrowthPolicy, eta: float, eta_prime: float) -> tuple:
+    """(block probability, link probability), refusing targets no trial can reach.
+
+    The Monte Carlo and the Markov solve both call this before any work, so
+    an unreachable target fails at once instead of after every trial has
+    run to the step cap.
+    """
+    p_block = ghz_success_probability(policy.block_size, eta)
+    if p_block <= 0.0:
+        raise ValueError("eta = 0 can never supply blocks")
+    q = link_success_probability(eta_prime)
+    if q <= 0.0 and policy.target_size > policy.block_size:
+        raise ValueError("eta_prime = 0 can never reach a target above one block")
+    return p_block, q
+
+
 def simulate_growth(policy: GrowthPolicy, eta: float, eta_prime: float,
                     seed: int, trials: int) -> GrowthStatistics:
     """Monte Carlo growth statistics, deterministic for a given seed.
@@ -200,10 +216,7 @@ def simulate_growth(policy: GrowthPolicy, eta: float, eta_prime: float,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    p_block = ghz_success_probability(policy.block_size, eta)
-    if p_block <= 0.0:
-        raise ValueError("eta = 0 can never supply blocks")
-    link_success_probability(eta_prime)  # validates range
+    p_block, _ = growth_rates(policy, eta, eta_prime)
 
     blocks = np.empty(trials)
     links = np.empty(trials)
@@ -272,12 +285,7 @@ def expected_cost_markov(policy: GrowthPolicy, eta: float, eta_prime: float) -> 
         raise ValueError(
             f"target {policy.target_size} exceeds the state-space bound {MARKOV_MAX_TARGET}"
         )
-    p_block = ghz_success_probability(policy.block_size, eta)
-    if p_block <= 0.0:
-        raise ValueError("eta = 0 can never supply blocks")
-    q = link_success_probability(eta_prime)
-    if q <= 0.0 and policy.target_size > policy.block_size:
-        raise ValueError("eta_prime = 0 can never reach a target above one block")
+    p_block, q = growth_rates(policy, eta, eta_prime)
     block = policy.block_size
     target = policy.target_size
     # cost columns: blocks, link attempts, generation attempts, steps

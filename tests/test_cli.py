@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from blockadesim import growth as growth_mod
 from blockadesim.cli import (
     EXIT_CAP,
     EXIT_CONFIG,
@@ -210,6 +211,15 @@ def test_json_artifacts_are_strict(tmp_path, capsys):
                  "--output", str(out)]) == EXIT_VALIDATION
     assert not out.exists()
     assert "error:" in capsys.readouterr().err
+
+
+def test_grow_unreachable_target_exits_before_any_trial(monkeypatch, capsys):
+    def no_trial(*args):
+        raise AssertionError("a growth trial ran")
+
+    monkeypatch.setattr(growth_mod, "run_trial", no_trial)
+    assert main(["grow", "--eta-prime", "0"]) == EXIT_VALIDATION
+    assert "eta_prime = 0" in capsys.readouterr().err
 
 
 def test_entangle_text_format():

@@ -307,6 +307,9 @@ def test_simulate_growth_validation():
         simulate_growth(GrowthPolicy(), 0.0, 0.9, seed=1, trials=10)
     with pytest.raises(ValueError):
         simulate_growth(GrowthPolicy(), 0.9, 1.0001, seed=1, trials=10)
+    # unreachable target: refused before any trial, like the Markov solve
+    with pytest.raises(ValueError, match="eta_prime = 0"):
+        simulate_growth(GrowthPolicy(), 0.9, 0.0, seed=1, trials=10)
 
 
 def test_statistics_json_round_trip():
