@@ -12,7 +12,8 @@ file, which is written atomically; a relative path lands under
 ``$BLOCKADESIM_OUTPUT_DIR`` when that is set.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 parameter validation
-error, 4 runtime cap (sweep grid bound) exceeded.
+error (a non-finite parameter or artifact value among them), 4 runtime cap
+(sweep grid bound) exceeded.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -223,7 +225,14 @@ def _resolve_params(command: str, args, config_values: dict) -> dict:
     return params
 
 
+def _require_finite(params: dict):
+    for key, value in params.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{key} must be finite, got {value!r}")
+
+
 def _parse_range(command: str, text: str) -> tuple:
+    """(key, start, step, point count) of one --range; the grid is not built yet."""
     if "=" not in text:
         raise ConfigError(f"expected KEY=START:STOP:STEP, got {text!r}")
     key, spec_text = text.split("=", 1)
@@ -238,15 +247,24 @@ def _parse_range(command: str, text: str) -> tuple:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise ConfigError(f"range bounds for {key} must be numeric: {spec_text!r}") from None
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ConfigError(f"range for {key} needs finite bounds and step: {spec_text!r}")
     if step <= 0.0 or stop < start:
         raise ConfigError(f"range for {key} needs stop >= start and step > 0")
-    count = int((stop - start) / step + 1e-9) + 1
+    integral = key in index and index[key].parse in (int, _positive_int)
+    if integral and not (start.is_integer() and step.is_integer()):
+        raise ConfigError(f"range for integer {key} needs integral start and step")
+    span = (stop - start) / step  # overflows to inf on an absurd grid
+    count = int(span + 1e-9) + 1 if math.isfinite(span) else math.inf
+    return key, start, step, count
+
+
+def _grid_values(command: str, key: str, start: float, step: float, count: int) -> tuple:
     values = [start + i * step for i in range(count)]
-    if key in index and index[key].parse in (int, _positive_int):
-        if not (start.is_integer() and step.is_integer()):
-            raise ConfigError(f"range for integer {key} needs integral start and step")
+    spec = _param_index(command).get(key)
+    if spec is not None and spec.parse in (int, _positive_int):
         values = [int(v) for v in values]
-    return key, tuple(values)
+    return tuple(values)
 
 
 def parse_args(argv=None) -> RunConfig:
@@ -278,14 +296,19 @@ def parse_args(argv=None) -> RunConfig:
     if args.command == "sweep":
         inner = args.swept
         params = _resolve_params(inner, args, config_values)
-        ranges = tuple(_parse_range(inner, r) for r in args.ranges)
-        if not ranges:
+        _require_finite(params)
+        specs = [_parse_range(inner, r) for r in args.ranges]
+        if not specs:
             raise ConfigError("sweep needs at least one --range")
-        if len(ranges) > 2:
+        if len(specs) > 2:
             raise ConfigError("at most 2 swept parameters")
-        names = [r[0] for r in ranges]
+        names = [spec[0] for spec in specs]
         if len(set(names)) != len(names):
             raise ConfigError("swept parameters must be distinct")
+        max_grid = args.max_grid if args.max_grid is not None else 10_000
+        size = math.prod(spec[3] for spec in specs)
+        if size > max_grid:
+            raise GridBoundError(f"sweep grid has {size} points, bound is {max_grid}")
         return RunConfig(
             command="sweep",
             params=params,
@@ -293,10 +316,11 @@ def parse_args(argv=None) -> RunConfig:
             output=output,
             fmt=fmt,
             sweep_command=inner,
-            ranges=ranges,
-            max_grid=args.max_grid if args.max_grid is not None else 10_000,
+            ranges=tuple((spec[0], _grid_values(inner, *spec)) for spec in specs),
+            max_grid=max_grid,
         )
     params = _resolve_params(args.command, args, config_values)
+    _require_finite(params)
     return RunConfig(command=args.command, params=params, seed=seed,
                      output=output, fmt=fmt)
 
@@ -447,11 +471,6 @@ HANDLERS = {
 def _run_sweep(config: RunConfig) -> list:
     names = [name for name, _ in config.ranges]
     grids = [values for _, values in config.ranges]
-    size = 1
-    for g in grids:
-        size *= len(g)
-    if size > config.max_grid:
-        raise GridBoundError(f"sweep grid has {size} points, bound is {config.max_grid}")
     handler = HANDLERS[config.sweep_command]
     rows = []
     if len(grids) == 1:
@@ -483,7 +502,9 @@ def run(config: RunConfig) -> str:
         return _render_rows_text(rows)
 
     if config.command == "budget" and config.fmt == "text":
-        return budget_mod.render_text(_budget_report(config.params))
+        report = _budget_report(config.params)
+        _finite_pairs(report.to_json_dict())
+        return budget_mod.render_text(report)
     handler = HANDLERS[config.command]
     results, row = handler(config.params, config.seed)
     if config.fmt == "json":
@@ -501,6 +522,7 @@ def run(config: RunConfig) -> str:
 
 
 def _render_csv(rows: list) -> str:
+    _finite_pairs(rows)
     if not rows:
         return "schema_version\n"
     buf = io.StringIO()
@@ -510,6 +532,20 @@ def _render_csv(rows: list) -> str:
     for row in rows:
         writer.writerow({"schema_version": SCHEMA_VERSION, **row})
     return buf.getvalue()
+
+
+def _finite_pairs(data) -> list:
+    """Flattened (key, value) pairs of ``data``.
+
+    A non-finite number raises ValueError (exit 3), so csv and text artifacts
+    follow the rule ``allow_nan=False`` enforces for JSON.
+    """
+    pairs = []
+    _flatten("", data, pairs)
+    for key, value in pairs:
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"artifact value {key} = {value} is not finite")
+    return pairs
 
 
 def _flatten(prefix: str, value, out: list):
@@ -524,14 +560,14 @@ def _flatten(prefix: str, value, out: list):
 
 
 def _render_result_text(config: RunConfig, results: dict) -> str:
-    pairs = []
-    _flatten("", results, pairs)
+    pairs = _finite_pairs(results)
     lines = [f"blockadesim {config.command} (schema_version={SCHEMA_VERSION}, seed={config.seed})"]
     lines += [f"{key} = {value}" for key, value in pairs]
     return "\n".join(lines) + "\n"
 
 
 def _render_rows_text(rows: list) -> str:
+    _finite_pairs(rows)
     lines = [f"blockadesim sweep (schema_version={SCHEMA_VERSION})"]
     for row in rows:
         lines.append("  ".join(f"{k}={v}" for k, v in row.items()))
@@ -561,14 +597,10 @@ def _write_atomic(path: Path, text: str):
 def main(argv=None) -> int:
     try:
         config = parse_args(argv)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        text = run(config)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
-    try:
-        text = run(config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

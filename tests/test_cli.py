@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from blockadesim import cli
 from blockadesim import growth as growth_mod
 from blockadesim.cli import (
     EXIT_CAP,
@@ -213,6 +214,32 @@ def test_json_artifacts_are_strict(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_finite_parameters_exit_3(tmp_path, capsys):
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text("gate_time = inf\n")
+    for argv in (["entangle", "--gate-time", "inf", "--format", "csv"],
+                 ["entangle", "--config", str(cfg)],
+                 ["budget", "--set", "temperature_k=inf", "--format", "csv"],
+                 ["sweep", "entangle", "--set", "gamma_dc=nan", "--range", "eta=0.5:1:0.5"]):
+        assert main(argv) == EXIT_VALIDATION, argv
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be finite" in captured.err
+
+
+def test_csv_and_text_refuse_non_finite_values(tmp_path, capsys):
+    # finite inputs whose collision rate overflows to inf
+    overflow = ["--set", "density_cm3=1e300", "--set", "collision_cross_section_cm2=1e300"]
+    out = tmp_path / "artifact"
+    for argv in (["budget", *overflow, "--format", "csv"],
+                 ["budget", *overflow, "--format", "text"],
+                 ["sweep", "budget", *overflow, "--range", "temperature_k=0.001:0.002:0.001",
+                  "--format", "text"]):
+        assert main(argv + ["--output", str(out)]) == EXIT_VALIDATION, argv
+        assert not out.exists()
+    assert "not finite" in capsys.readouterr().err
+
+
 def test_grow_unreachable_target_exits_before_any_trial(monkeypatch, capsys):
     def no_trial(*args):
         raise AssertionError("a growth trial ran")
@@ -283,6 +310,23 @@ def test_sweep_range_validation(capsys):
                  "--range", "p_abs=0.5:1:0.25", "--range", "gamma_dc=0:10:5",
                  ]) == EXIT_CONFIG
     capsys.readouterr()
+
+
+def test_sweep_rejects_non_finite_ranges(capsys):
+    for spec in ("eta=nan:0.5:0.1", "gate_time=1e-6:inf:1", "eta=0:1:nan"):
+        assert main(["sweep", "entangle", "--range", spec]) == EXIT_CONFIG, spec
+    assert "finite" in capsys.readouterr().err
+
+
+def test_sweep_grid_bound_is_checked_before_the_grid_is_built(monkeypatch, capsys):
+    def build(*args):
+        raise AssertionError("grid built before the bound check")
+
+    monkeypatch.setattr(cli, "_grid_values", build)
+    assert main(["sweep", "entangle", "--range", "eta=0:1:1e-9"]) == EXIT_CAP
+    # (stop - start) / step overflows a float
+    assert main(["sweep", "entangle", "--range", "eta=0:1e300:1e-300"]) == EXIT_CAP
+    assert "bound" in capsys.readouterr().err
 
 
 def test_sweep_rejects_fractional_integer_ranges(capsys):
