@@ -229,6 +229,12 @@ def entangle_pair_exact(absorption: AbsorptionModel = AbsorptionModel(),
     )
 
 
+# Uniform draws per chunk in entangle_pair_sampled: bounds its memory for
+# any trial count.  Chunking leaves the PCG64 stream, hence every count,
+# unchanged.
+SAMPLE_CHUNK = 2**16
+
+
 @dataclass(frozen=True)
 class EntangleSampleStats:
     """Monte Carlo herald statistics for the pair protocol."""
@@ -260,7 +266,7 @@ def entangle_pair_sampled(absorption: AbsorptionModel, detector: DetectorModel,
 
     The joint distribution is assembled from sequential single-detector
     conditioning (a code path independent of ``entangle_pair_exact``), then
-    sampled with one uniform draw per trial.
+    sampled with one uniform draw per trial, drawn ``SAMPLE_CHUNK`` at a time.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -278,9 +284,11 @@ def entangle_pair_sampled(absorption: AbsorptionModel, detector: DetectorModel,
     if not math.isclose(total, 1.0, abs_tol=1e-9):
         raise ValueError(f"joint click distribution sums to {total}, expected 1")
     rng = np.random.default_rng(seed)
-    draws = rng.random(trials)
-    counts = np.bincount(np.searchsorted(np.cumsum(probs), draws, side="right"),
-                         minlength=4)
+    edges = np.cumsum(probs[:-1])  # draws past the last edge are (False, False)
+    counts = np.zeros(4, dtype=np.int64)
+    for start in range(0, trials, SAMPLE_CHUNK):
+        draws = rng.random(min(SAMPLE_CHUNK, trials - start))
+        counts += np.bincount(np.searchsorted(edges, draws, side="right"), minlength=4)
 
     if policy is HeraldPolicy.PER_DETECTOR:
         expected = 1.0 - joint[(False, False)]

@@ -149,6 +149,15 @@ def test_entangle_sampled_matches_exact():
         entangle_pair_sampled(absorption, det, seed=1, trials=0)
 
 
+def test_entangle_sampled_chunks_keep_the_single_draw_counts(monkeypatch):
+    absorption, det = AbsorptionModel(0.9), DetectorModel(efficiency=0.4)
+    trials = 3 * protocol.SAMPLE_CHUNK + 17
+    chunked = entangle_pair_sampled(absorption, det, seed=12, trials=trials)
+    monkeypatch.setattr(protocol, "SAMPLE_CHUNK", trials)
+    single = entangle_pair_sampled(absorption, det, seed=12, trials=trials)
+    assert chunked == single
+
+
 def test_entangle_sampled_exclusive_counts():
     stats = entangle_pair_sampled(AbsorptionModel(0.9), DetectorModel(efficiency=0.4),
                                   seed=5, trials=10_000, policy=HeraldPolicy.EXCLUSIVE)
