@@ -232,7 +232,7 @@ def _require_finite(params: dict):
 
 
 def _parse_range(command: str, text: str) -> tuple:
-    """(key, start, step, point count) of one --range; the grid is not built yet."""
+    """(key, start, step, point count, integral) of one --range; no grid is built."""
     if "=" not in text:
         raise ConfigError(f"expected KEY=START:STOP:STEP, got {text!r}")
     key, spec_text = text.split("=", 1)
@@ -256,15 +256,12 @@ def _parse_range(command: str, text: str) -> tuple:
         raise ConfigError(f"range for integer {key} needs integral start and step")
     span = (stop - start) / step  # overflows to inf on an absurd grid
     count = int(span + 1e-9) + 1 if math.isfinite(span) else math.inf
-    return key, start, step, count
+    return key, start, step, count, integral
 
 
-def _grid_values(command: str, key: str, start: float, step: float, count: int) -> tuple:
-    values = [start + i * step for i in range(count)]
-    spec = _param_index(command).get(key)
-    if spec is not None and spec.parse in (int, _positive_int):
-        values = [int(v) for v in values]
-    return tuple(values)
+def _grid_values(start: float, step: float, count: int, integral: bool) -> tuple:
+    values = (start + i * step for i in range(count))
+    return tuple(int(v) for v in values) if integral else tuple(values)
 
 
 def parse_args(argv=None) -> RunConfig:
@@ -316,7 +313,7 @@ def parse_args(argv=None) -> RunConfig:
             output=output,
             fmt=fmt,
             sweep_command=inner,
-            ranges=tuple((spec[0], _grid_values(inner, *spec)) for spec in specs),
+            ranges=tuple((spec[0], _grid_values(*spec[1:])) for spec in specs),
             max_grid=max_grid,
         )
     params = _resolve_params(args.command, args, config_values)

@@ -363,20 +363,19 @@ def detect_all_probabilities(state, modes: Sequence, det: DetectorModel) -> dict
         groups = group_occupations(state, modes)
     branches = [branch for _, branch in groups.branches]
     norms = [branch.norm_squared() for branch in branches]
+    outers = [[((ket, bra), a * b.conjugate()) for ket, a in branch for bra, b in branch]
+              for branch in branches]
     table = _pattern_weights(det, groups.cutoffs, [occ for occ, _ in groups.branches])
     out = {}
     for pattern, weights in table:
         prob = 0.0
         elems = {}
-        for w, norm, branch in zip(weights, norms, branches):
+        for w, norm, outer in zip(weights, norms, outers):
             if w == 0.0:
                 continue
             prob += w * norm
-            items = list(branch)
-            for ket, a in items:
-                for bra, b in items:
-                    pair = (ket, bra)
-                    elems[pair] = elems.get(pair, 0.0) + w * (a * b.conjugate())
+            for pair, v in outer:
+                elems[pair] = elems.get(pair, 0.0) + w * v
         if prob <= ATOL_STATE:
             out[pattern] = (0.0, None)
         else:
