@@ -1,9 +1,11 @@
-"""Shared test utilities: random state generation and statistics helpers."""
+"""Shared test utilities: random states, statistics and the reference growth trial."""
 
 import math
 
 import numpy as np
 
+from blockadesim.growth import ClusterInventory, GrowthStatistics, growth_rates
+from blockadesim.protocol import Cluster, link_success_probability
 from blockadesim.state_algebra import (
     EnsembleQudit,
     HybridState,
@@ -84,4 +86,109 @@ def assert_within_3sigma(observed_rate, expected_p, trials, label=""):
     assert abs(observed_rate - expected_p) <= 3.0 * sigma, (
         f"{label}: observed {observed_rate} vs expected {expected_p} "
         f"(3 sigma = {3*sigma:.3g})"
+    )
+
+
+# ---------------------------------------------------------------------------
+# reference growth trial: the step rule as a plain per-step loop
+
+_DRAW_CHUNK = 256
+
+
+def reference_trial(policy, p_block, eta_prime, rng):
+    """One growth trial stepped one uniform at a time; returns (succeeded, inventory).
+
+    Kept as the oracle for ``growth.run_trial``: same rule, same draws (one
+    uniform per step, taken from chunks of 256), no transition graph.
+    """
+    q = link_success_probability(eta_prime)
+    target = policy.target_size
+    block = policy.block_size
+    cap = policy.step_cap
+    log_miss = math.log1p(-p_block) if p_block < 1.0 else 0.0
+
+    a = 0  # slot value 0 means empty
+    b = 0
+    blocks = gens = links = wins = steps = measured = discarded = 0
+    buf = rng.random(_DRAW_CHUNK)
+    pos = 0
+    success = False
+    while steps < cap:
+        if a >= target or b >= target:
+            success = True
+            break
+        steps += 1
+        if pos == _DRAW_CHUNK:
+            buf = rng.random(_DRAW_CHUNK)
+            pos = 0
+        u = buf[pos]
+        pos += 1
+        if a == 0 or b == 0:
+            # fewer than two clusters: buy a block (geometric attempt count)
+            gens += 1 if p_block >= 1.0 else 1 + int(math.log(1.0 - u) / log_miss)
+            blocks += 1
+            if a == 0:
+                a = block
+            else:
+                b = block
+            continue
+        links += 1
+        if u < q:
+            wins += 1
+            a += b
+            b = 0
+        else:
+            measured += 2
+            a -= 1
+            b -= 1
+            if a < 2:
+                discarded += a
+                a = 0
+            if b < 2:
+                discarded += b
+                b = 0
+
+    inv = ClusterInventory(
+        clusters=[Cluster(s) for s in (a, b) if s],
+        consumed_ghz_blocks=blocks,
+        generation_attempts=gens,
+        link_attempts=links,
+        link_successes=wins,
+        elapsed_steps=steps,
+        qubits_measured=measured,
+        qubits_discarded=discarded,
+    )
+    return success, inv
+
+
+def reference_growth(policy, eta, eta_prime, seed, trials):
+    """``simulate_growth`` with every trial run by ``reference_trial``."""
+    p_block, _ = growth_rates(policy, eta, eta_prime)
+    results = [reference_trial(policy, p_block, eta_prime, np.random.default_rng([seed, t]))
+               for t in range(trials)]
+    for _, inv in results:
+        inv.assert_ledger_balanced(policy.block_size)
+
+    def mean_std(name):
+        values = np.array([float(getattr(inv, name)) for _, inv in results])
+        return float(values.mean()), float(values.std(ddof=1)) if trials > 1 else 0.0
+
+    mean_blocks, std_blocks = mean_std("consumed_ghz_blocks")
+    mean_links, std_links = mean_std("link_attempts")
+    mean_gens, std_gens = mean_std("generation_attempts")
+    mean_steps, std_steps = mean_std("elapsed_steps")
+    successes = sum(ok for ok, _ in results)
+    link_successes = sum(inv.link_successes for _, inv in results)
+    link_attempts = sum(inv.link_attempts for _, inv in results)
+    return GrowthStatistics(
+        policy=policy, eta=eta, eta_prime=eta_prime, seed=seed, trials=trials,
+        block_probability=p_block,
+        success_fraction=successes / trials,
+        cap_hit_fraction=(trials - successes) / trials,
+        mean_blocks=mean_blocks, std_blocks=std_blocks,
+        mean_link_attempts=mean_links, std_link_attempts=std_links,
+        mean_generation_attempts=mean_gens, std_generation_attempts=std_gens,
+        mean_steps=mean_steps, std_steps=std_steps,
+        link_success_rate=link_successes / link_attempts if link_attempts else None,
+        total_link_attempts=link_attempts,
     )

@@ -33,6 +33,8 @@ CASES = {
                                 "--set", "dark_count_rate_hz=40", "--format", "csv"],
     "grow.json": ["grow", "--eta", "0.9", "--eta-prime", "0.9",
                   "--trials", "200", "--seed", "3"],
+    "grow_long.json": ["grow", "--block-size", "4", "--target", "12", "--eta", "0.75",
+                       "--eta-prime", "0.5", "--trials", "200", "--seed", "3"],
     "grow_block6.txt": ["grow", "--block-size", "6", "--target", "12", "--eta", "0.95",
                         "--eta-prime", "0.8", "--trials", "100", "--seed", "5",
                         "--format", "text"],

@@ -13,6 +13,7 @@ from blockadesim.growth import (
     simulate_growth,
 )
 from blockadesim.protocol import Cluster, ghz_success_probability
+from helpers import reference_growth, reference_trial
 
 
 class ArrayRng:
@@ -144,6 +145,45 @@ def test_run_trial_deterministic_per_generator_state():
     a = run_trial(policy, 0.4, 0.9, np.random.default_rng([7, 3]))
     b = run_trial(policy, 0.4, 0.9, np.random.default_rng([7, 3]))
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# run_trial and simulate_growth vs the per-step reference trial
+
+REFERENCE_CAPS = (1, 2, 7, 256, 257, 1_000_000)
+
+
+def test_run_trial_matches_reference_trial():
+    cap_hits = 0
+    for block in (4, 6):
+        for target in range(block, 21):
+            for cap in REFERENCE_CAPS:
+                policy = GrowthPolicy(block, target, cap)
+                for p_block, eta_prime, seed in ((1.0, 1.0, 0), (0.28125, 0.5, 1),
+                                                 (0.05, 1.0, 2)):
+                    got_rng = np.random.default_rng([seed, target, cap])
+                    want_rng = np.random.default_rng([seed, target, cap])
+                    got = run_trial(policy, p_block, eta_prime, got_rng)
+                    want = reference_trial(policy, p_block, eta_prime, want_rng)
+                    # field by field, the order of the final clusters included
+                    assert got == want, (block, target, cap, p_block, eta_prime)
+                    # the same uniforms were drawn from the generator
+                    assert got_rng.random() == want_rng.random()
+                    cap_hits += not got[0]
+    assert cap_hits > 100
+
+
+@pytest.mark.parametrize("policy, eta, eta_prime, trials", [
+    (GrowthPolicy(4, 4, 1), 0.9, 1.0, 50),
+    (GrowthPolicy(4, 12, 1_000_000), 0.75, 0.5, 60),
+    (GrowthPolicy(4, 20, 300), 1.0, 1.0, 40),
+    (GrowthPolicy(6, 6, 1_000_000), 0.3, 0.0, 40),
+    (GrowthPolicy(6, 14, 257), 0.95, 0.8, 80),
+    (GrowthPolicy(6, 20, 1_000_000), 1.0, 1.0, 30),
+])
+def test_simulate_growth_matches_reference_growth(policy, eta, eta_prime, trials):
+    got = simulate_growth(policy, eta, eta_prime, seed=19, trials=trials)
+    assert got == reference_growth(policy, eta, eta_prime, seed=19, trials=trials)
 
 
 # ---------------------------------------------------------------------------
