@@ -20,8 +20,11 @@ loop, so the two sides cross-check each other.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field, fields
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -77,7 +80,183 @@ class ClusterInventory:
             )
 
 
+# Uniforms a trial draws from its generator at a time, one per step.
 _DRAW_CHUNK = 256
+# Steps buffered between two tallies; bounds the walk's memory.
+_TALLY_STEPS = 4096
+# Code of the stop node that the successors of an unbuilt node point at.
+_STOP = -1
+_CODE = operator.itemgetter(2)
+_NO_COUNTS = (0, 0, 0, 0, 0)
+
+
+class _TransitionGraph:
+    """The slot states (a, b) of one (block, target) pair and the steps between them.
+
+    A node is a list ``[next if the link fails, next if it wins, code]``.  A
+    draw step ignores its uniform, so both entries of a draw node are the
+    same; an absorbed node points at itself.  A trial is then the walk
+    ``accumulate(bits, getitem, initial=node)`` over the bits ``u < q`` of its
+    uniforms, which runs in C.  Nodes are built on first visit: a new node
+    points at the shared stop node until a walk reaches it there and
+    ``expand`` applies the step rule.  ``rows[2 * code + bit]`` holds the
+    counter increments of that step: blocks, link attempts, link successes,
+    qubits measured and qubits discarded.
+    """
+
+    def __init__(self, block: int, target: int):
+        self.block = block
+        self.target = target
+        self.stop = [None, None, _STOP]
+        self.stop[0] = self.stop[1] = self.stop
+        self.states = []    # (a, b) per code
+        self.absorbed = []  # per code
+        self.draws = []     # per code: the step buys a block
+        self.rows = []      # per 2 * code + bit
+        self._nodes = {}
+        self._tables = None
+        self.start = self.node(0, 0)
+
+    def node(self, a: int, b: int) -> list:
+        found = self._nodes.get((a, b))
+        if found is None:
+            found = self._nodes[(a, b)] = [self.stop, self.stop, len(self.states)]
+            done = a >= self.target or b >= self.target
+            if done:
+                found[0] = found[1] = found
+            self.states.append((a, b))
+            self.absorbed.append(done)
+            self.draws.append(False)
+            self.rows += (_NO_COUNTS, _NO_COUNTS)
+        return found
+
+    def expand(self, node: list):
+        """Point an unbuilt node at its successors: the growth step rule."""
+        code = node[2]
+        a, b = self.states[code]
+        if a == 0 or b == 0:
+            # fewer than two clusters: buy a block (attempts are tallied apart)
+            node[0] = node[1] = self.node(self.block, b) if a == 0 else self.node(a, self.block)
+            self.draws[code] = True
+            self.rows[2 * code:2 * code + 2] = ((1, 0, 0, 0, 0),) * 2
+        else:
+            # link: a win merges the pair; a failure measures one qubit of
+            # each and discards a remnant below two qubits
+            node[1] = self.node(a + b, 0)
+            a, b = a - 1, b - 1
+            node[0] = self.node(a if a >= 2 else 0, b if b >= 2 else 0)
+            dropped = (a if a < 2 else 0) + (b if b < 2 else 0)
+            self.rows[2 * code:2 * code + 2] = ((0, 1, 0, 2, dropped), (0, 1, 1, 0, 0))
+        self._tables = None
+
+    def walk(self, node: list, bits: list) -> list:
+        """The nodes from ``node`` on, one per bit, building those reached."""
+        path = list(accumulate(bits, operator.getitem, initial=node))
+        while path[-1] is self.stop:
+            i = list(map(_CODE, path)).index(_STOP) - 1
+            self.expand(path[i])
+            path[i:] = accumulate(bits[i:], operator.getitem, initial=path[i])
+        return path
+
+    def tables(self) -> tuple:
+        """(increments, one column per 2 * code + bit; draw flag per code) as arrays."""
+        if self._tables is None:
+            self._tables = (np.array(self.rows, dtype=np.int64).T.copy(), np.array(self.draws))
+        return self._tables
+
+
+@functools.lru_cache(maxsize=8)
+def _graph(block: int, target: int) -> _TransitionGraph:
+    return _TransitionGraph(block, target)
+
+
+def _extra_attempts(u: np.ndarray, log_miss: float) -> np.ndarray:
+    """int(log(1 - u) / log_miss) per uniform, as math.log gives it.
+
+    numpy's log can differ from math.log in the last place, which moves the
+    floor only for a quotient next to an integer; those are redone with
+    math.log, so the geometric draws match a per-step loop exactly.
+    """
+    quot = np.log(1.0 - u) / log_miss
+    whole = np.floor(quot)
+    near = np.abs(quot - np.rint(quot)) <= 1e-9 * np.maximum(quot, 1.0)
+    for i in np.flatnonzero(near).tolist():
+        whole[i] = int(math.log(1.0 - u[i]) / log_miss)
+    return whole
+
+
+def _tally(graph: _TransitionGraph, log_miss: float, parts: list, owners: list):
+    """Add the counters of buffered walk segments to the inventories they belong to.
+
+    ``parts`` holds (codes, bits, uniforms) of each segment's steps.
+    """
+    rows, draws = graph.tables()
+    codes = np.concatenate([part[0] for part in parts])
+    bits = np.concatenate([part[1] for part in parts])
+    starts = np.cumsum([0] + [len(part[0]) for part in parts[:-1]])
+    counts = np.add.reduceat(rows.take(2 * codes + bits, axis=1), starts, axis=1).T.tolist()
+    extra = np.zeros(len(codes))
+    if log_miss:
+        drawn = draws[codes]
+        extra[drawn] = _extra_attempts(np.concatenate([part[2] for part in parts])[drawn],
+                                       log_miss)
+    if extra.sum() < 2.0**53:  # float sums of the integer floors stay exact
+        more = np.add.reduceat(extra, starts).astype(np.int64).tolist()
+    else:
+        more = [sum(map(int, piece.tolist())) for piece in np.split(extra, starts[1:])]
+    for inv, (blocks, links, wins, measured, dropped), extra_gens in zip(owners, counts, more):
+        inv.consumed_ghz_blocks += blocks
+        inv.generation_attempts += blocks + extra_gens
+        inv.link_attempts += links
+        inv.link_successes += wins
+        inv.qubits_measured += measured
+        inv.qubits_discarded += dropped
+
+
+def _walk_trials(policy: GrowthPolicy, p_block: float, eta_prime: float, rngs):
+    """Run one growth trial per generator; yield (succeeded, inventory) in order.
+
+    Each trial draws uniforms from its generator in chunks of ``_DRAW_CHUNK``,
+    one per step, and walks its cached transition graph through them; the
+    absorption step is the first visit of the absorbed node the walk ends
+    on.  The step codes, bits and uniforms of consecutive trials are
+    buffered and tallied together every ``_TALLY_STEPS`` steps.  Block
+    generation attempts are geometric with the chain acceptance
+    probability, drawn by inversion from the uniform of each draw step.
+    """
+    q = link_success_probability(eta_prime)
+    cap = policy.step_cap
+    graph = _graph(policy.block_size, policy.target_size)
+    log_miss = math.log1p(-p_block) if p_block < 1.0 else 0.0
+    parts, owners, done, buffered = [], [], [], 0
+    for rng in rngs:
+        inv = ClusterInventory()
+        node, steps = graph.start, 0
+        while True:
+            u = rng.random(_DRAW_CHUNK)[:cap - steps]
+            bits = u < q
+            path = graph.walk(node, bits.tolist())
+            codes = np.fromiter(map(_CODE, path), np.intp, len(path))
+            absorbed = graph.absorbed[codes[-1]]
+            n = int(np.argmax(codes == codes[-1])) if absorbed else len(u)
+            parts.append((codes[:n], bits[:n], u[:n]))
+            owners.append(inv)
+            buffered += n
+            steps += n
+            node = path[n]
+            if buffered >= _TALLY_STEPS:
+                _tally(graph, log_miss, parts, owners)
+                parts, owners, buffered = [], [], 0
+                yield from done
+                done = []
+            if absorbed or steps == cap:
+                break
+        inv.elapsed_steps = steps
+        inv.clusters = [Cluster(size) for size in graph.states[node[2]] if size]
+        done.append((absorbed and steps < cap, inv))
+    if parts:
+        _tally(graph, log_miss, parts, owners)
+    yield from done
 
 
 def run_trial(policy: GrowthPolicy, p_block: float, eta_prime: float,
@@ -86,69 +265,14 @@ def run_trial(policy: GrowthPolicy, p_block: float, eta_prime: float,
 
     The draw rule (generate a block only below two clusters) keeps the
     inventory at two clusters or fewer, so the stock fits in two integer
-    slots.  The link step is the rule of the module docstring; block
-    generation attempts per block are geometric with the chain acceptance
-    probability, drawn by inversion.  Uniform variates are consumed from buffered chunks, one per
-    decision, so results are deterministic for a given generator state.
+    slots and a trial is a walk over the slot states.  The step rule lives
+    only in ``_TransitionGraph.expand``; this is the trial kernel
+    ``simulate_growth`` uses, run on one generator.  One uniform is consumed
+    per step from chunks of ``_DRAW_CHUNK``, so results are deterministic
+    for a given generator state.
     """
-    q = link_success_probability(eta_prime)
-    target = policy.target_size
-    block = policy.block_size
-    cap = policy.step_cap
-    log_miss = math.log1p(-p_block) if p_block < 1.0 else 0.0
-
-    a = 0  # slot value 0 means empty
-    b = 0
-    blocks = gens = links = wins = steps = measured = discarded = 0
-    buf = rng.random(_DRAW_CHUNK)
-    pos = 0
-    success = False
-    while steps < cap:
-        if a >= target or b >= target:
-            success = True
-            break
-        steps += 1
-        if pos == _DRAW_CHUNK:
-            buf = rng.random(_DRAW_CHUNK)
-            pos = 0
-        u = buf[pos]
-        pos += 1
-        if a == 0 or b == 0:
-            # fewer than two clusters: buy a block (geometric attempt count)
-            gens += 1 if p_block >= 1.0 else 1 + int(math.log(1.0 - u) / log_miss)
-            blocks += 1
-            if a == 0:
-                a = block
-            else:
-                b = block
-            continue
-        links += 1
-        if u < q:
-            wins += 1
-            a += b
-            b = 0
-        else:
-            measured += 2
-            a -= 1
-            b -= 1
-            if a < 2:
-                discarded += a
-                a = 0
-            if b < 2:
-                discarded += b
-                b = 0
-
-    inv = ClusterInventory(
-        clusters=[Cluster(s) for s in (a, b) if s],
-        consumed_ghz_blocks=blocks,
-        generation_attempts=gens,
-        link_attempts=links,
-        link_successes=wins,
-        elapsed_steps=steps,
-        qubits_measured=measured,
-        qubits_discarded=discarded,
-    )
-    return success, inv
+    (result,) = _walk_trials(policy, p_block, eta_prime, [rng])
+    return result
 
 
 @dataclass(frozen=True)
@@ -226,9 +350,8 @@ def simulate_growth(policy: GrowthPolicy, eta: float, eta_prime: float,
     link_successes = 0
     link_attempts = 0
     cap_hits = 0
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        ok, inv = run_trial(policy, p_block, eta_prime, rng)
+    rngs = (np.random.default_rng([seed, t]) for t in range(trials))
+    for t, (ok, inv) in enumerate(_walk_trials(policy, p_block, eta_prime, rngs)):
         inv.assert_ledger_balanced(policy.block_size)
         blocks[t] = inv.consumed_ghz_blocks
         links[t] = inv.link_attempts

@@ -244,9 +244,18 @@ def test_grow_unreachable_target_exits_before_any_trial(monkeypatch, capsys):
     def no_trial(*args):
         raise AssertionError("a growth trial ran")
 
-    monkeypatch.setattr(growth_mod, "run_trial", no_trial)
+    # the trial kernel behind both run_trial and simulate_growth
+    monkeypatch.setattr(growth_mod, "_walk_trials", no_trial)
     assert main(["grow", "--eta-prime", "0"]) == EXIT_VALIDATION
     assert "eta_prime = 0" in capsys.readouterr().err
+
+
+def test_grow_builds_only_the_graph_nodes_it_visits(capsys):
+    growth_mod._graph.cache_clear()
+    assert main(["grow", "--target", "1000000", "--trials", "1", "--cap", "10"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["results"]["cap_hit_fraction"] == 1.0
+    # ten steps reach at most eleven slot states and their successors
+    assert len(growth_mod._graph(4, 1_000_000).states) <= 30
 
 
 def test_entangle_text_format():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from blockadesim import growth
 from blockadesim.growth import (
     ClusterInventory,
     ExpectedCost,
@@ -184,6 +185,52 @@ def test_run_trial_matches_reference_trial():
 def test_simulate_growth_matches_reference_growth(policy, eta, eta_prime, trials):
     got = simulate_growth(policy, eta, eta_prime, seed=19, trials=trials)
     assert got == reference_growth(policy, eta, eta_prime, seed=19, trials=trials)
+
+
+def reference_attempts(u, log_miss):
+    return np.array([int(math.log(1.0 - x) / log_miss) for x in u.tolist()])
+
+
+def test_extra_attempts_match_math_log_on_a_million_uniforms():
+    rng = np.random.default_rng(2024)
+    for p_block in (0.5, 0.28125, 0.05, 1e-3):
+        log_miss = math.log1p(-p_block)
+        u = rng.random(250_000)
+        assert (growth._extra_attempts(u, log_miss) == reference_attempts(u, log_miss)).all()
+
+
+def test_extra_attempts_at_the_geometric_boundaries():
+    # u = 1 - (1 - p)^k puts the quotient on the integer k, where one ulp of
+    # log decides the floor
+    for p_block in (0.5, 0.28125, 0.0625, 0.05, 0.3, 0.7, 1e-3):
+        log_miss = math.log1p(-p_block)
+        u = 1.0 - (1.0 - p_block) ** np.arange(2000.0)
+        u = np.concatenate([u, np.nextafter(u, 0.0), np.nextafter(u, 1.0)])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        assert (growth._extra_attempts(u, log_miss) == reference_attempts(u, log_miss)).all()
+    # where numpy's log and math.log disagree, a log_miss equal to math's
+    # log puts the exact quotient on 1 and numpy's on either side of it
+    u = np.random.default_rng(5).random(200_000)
+    apart = [x for x in u.tolist() if np.log(1.0 - x) != math.log(1.0 - x)]
+    for x in apart[:200]:
+        got = growth._extra_attempts(np.array([x]), math.log(1.0 - x))
+        assert got.tolist() == reference_attempts(np.array([x]), math.log(1.0 - x)).tolist()
+
+
+def test_walk_buffers_a_bounded_number_of_steps(monkeypatch):
+    tallied = []
+    tally = growth._tally
+
+    def recording(graph, log_miss, parts, owners):
+        tallied.append(sum(len(part[0]) for part in parts))
+        tally(graph, log_miss, parts, owners)
+
+    monkeypatch.setattr(growth, "_tally", recording)
+    policy = GrowthPolicy(4, 20, 50_000)
+    ok, inv = run_trial(policy, 0.3, 0.01, np.random.default_rng(8))
+    assert not ok and inv.elapsed_steps == 50_000
+    assert sum(tallied) == 50_000
+    assert max(tallied) < growth._TALLY_STEPS + growth._DRAW_CHUNK
 
 
 # ---------------------------------------------------------------------------
