@@ -253,7 +253,7 @@ def _walk_trials(policy: GrowthPolicy, p_block: float, eta_prime: float, rngs):
                 break
         inv.elapsed_steps = steps
         inv.clusters = [Cluster(size) for size in graph.states[node[2]] if size]
-        done.append((absorbed and steps < cap, inv))
+        done.append((absorbed, inv))
     if parts:
         _tally(graph, log_miss, parts, owners)
     yield from done

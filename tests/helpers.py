@@ -112,10 +112,8 @@ def reference_trial(policy, p_block, eta_prime, rng):
     blocks = gens = links = wins = steps = measured = discarded = 0
     buf = rng.random(_DRAW_CHUNK)
     pos = 0
-    success = False
     while steps < cap:
         if a >= target or b >= target:
-            success = True
             break
         steps += 1
         if pos == _DRAW_CHUNK:
@@ -147,6 +145,8 @@ def reference_trial(policy, p_block, eta_prime, rng):
             if b < 2:
                 discarded += b
                 b = 0
+    # a trial that reaches the target on its last allowed step succeeds
+    success = a >= target or b >= target
 
     inv = ClusterInventory(
         clusters=[Cluster(s) for s in (a, b) if s],

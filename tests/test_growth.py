@@ -141,6 +141,22 @@ def test_run_trial_cap_reports_failure():
     inv.assert_ledger_balanced(4)
 
 
+def test_run_trial_reaching_the_target_on_the_last_allowed_step_succeeds():
+    # block = target: the first step finishes the trial, cap 1 allows just it
+    for cap in (1, 2):
+        ok, inv = run_trial(GrowthPolicy(4, 4, cap), 1.0, 1.0, ArrayRng([]))
+        assert ok, cap
+        assert inv.elapsed_steps == 1
+        assert [c.size for c in inv.clusters] == [4]
+    # draw, draw, win: size 8 on step 3 of 3
+    ok, inv = run_trial(GrowthPolicy(4, 8, 3), 1.0, 1.0, ArrayRng([0.5, 0.5, 0.01]))
+    assert ok
+    assert [c.size for c in inv.clusters] == [8]
+    stats = simulate_growth(GrowthPolicy(4, 4, 1), 0.9, 0.9, seed=1, trials=20)
+    assert stats.success_fraction == 1.0
+    assert stats.cap_hit_fraction == 0.0
+
+
 def test_run_trial_deterministic_per_generator_state():
     policy = GrowthPolicy(block_size=4, target_size=12)
     a = run_trial(policy, 0.4, 0.9, np.random.default_rng([7, 3]))
