@@ -480,7 +480,9 @@ def ghz_success_probability(n_qubits: int, eta: float) -> float:
         raise ValueError(f"chain size must be an even integer >= 4, got {n_qubits}")
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must be in [0, 1], got {eta}")
-    return eta ** (n_qubits // 2) * (n_qubits - 2) / 2 ** (n_qubits - 2)
+    # scaling by 2^-(Q-2) with ldexp is exact where the old division by the
+    # integer 2^(Q-2) was finite, and cannot overflow for large Q
+    return math.ldexp(eta ** (n_qubits // 2) * (n_qubits - 2), -(n_qubits - 2))
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,19 @@ def test_ghz_csv_and_formula():
     assert row["circuit_success_probability"] == ""  # enumeration only at 4 qubits
 
 
+def test_ghz_formula_is_exact_and_finite_at_any_size(capsys):
+    # equal bit for bit to eta^(Q/2) (Q - 2) / 2^(Q - 2) wherever that is finite
+    for qubits in range(4, 1026, 2):
+        for eta in (1.0, 0.8, 0.3, 1e-3):
+            assert ghz_success_probability(qubits, eta) == (
+                eta ** (qubits // 2) * (qubits - 2) / 2 ** (qubits - 2)), (qubits, eta)
+    # 2^1998 no longer overflows a float: the probability underflows to 0
+    for fmt in ("json", "csv", "text"):
+        assert main(["ghz", "--qubits", "2000", "--format", fmt]) == EXIT_OK
+    assert ghz_success_probability(2000, 1.0) == 0.0
+    capsys.readouterr()
+
+
 def test_ghz_circuit_enumeration_at_four_qubits():
     doc = json.loads(run_text(["ghz", "--eta", "0.7"]))
     circuit = doc["results"]["circuit"]
