@@ -97,7 +97,10 @@ def p_double_excitation(atoms_ensemble: float, coupling_mhz: float, blockade_mhz
         raise ValueError("double excitation needs at least two atoms")
     if coupling_mhz <= 0.0 or blockade_mhz <= 0.0:
         raise ValueError("coupling and blockade shift must be positive")
-    return (atoms_ensemble - 1.0) * coupling_mhz**2 / (2.0 * blockade_mhz**2)
+    blockade_sq = blockade_mhz**2
+    if blockade_sq == 0.0:
+        raise ValueError(f"blockade shift {blockade_mhz!r} MHz is too small: its square underflows")
+    return (atoms_ensemble - 1.0) * coupling_mhz**2 / (2.0 * blockade_sq)
 
 
 def coupling_for_double_target(atoms_ensemble: float, blockade_mhz: float,

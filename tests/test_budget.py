@@ -86,6 +86,18 @@ def test_double_excitation_roundtrip_and_invariant():
         p_double_excitation(1.5, 0.1, 1.0)
     with pytest.raises(ValueError):
         coupling_for_double_target(300.0, 1.0, 0.0)
+
+
+def test_double_excitation_refuses_a_blockade_shift_whose_square_underflows():
+    import numpy as np
+    rng = np.random.default_rng(32)
+    # unchanged bit for bit wherever B^2 stays positive
+    for n, g0, b in zip(rng.uniform(2.0, 1e4, 200), rng.uniform(1e-3, 10.0, 200),
+                        10.0 ** rng.uniform(-160.0, 3.0, 200)):
+        n, g0, b = float(n), float(g0), float(b)
+        assert p_double_excitation(n, g0, b) == (n - 1.0) * g0**2 / (2.0 * b**2)
+    with pytest.raises(ValueError, match="underflows"):
+        p_double_excitation(300.0, 0.1, 1e-300)
     with pytest.raises(ValueError):
         coupling_for_double_target(300.0, 1.0, 1.0)
 

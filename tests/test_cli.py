@@ -170,6 +170,12 @@ def test_ghz_formula_is_exact_and_finite_at_any_size(capsys):
     capsys.readouterr()
 
 
+def test_budget_with_an_underflowing_blockade_shift_exits_3(capsys):
+    argv = ["budget", "--set", "blockade_mhz=1e-300", "--format", "csv"]
+    assert main(argv) == EXIT_VALIDATION
+    assert "underflows" in capsys.readouterr().err
+
+
 def test_ghz_circuit_enumeration_at_four_qubits():
     doc = json.loads(run_text(["ghz", "--eta", "0.7"]))
     circuit = doc["results"]["circuit"]
