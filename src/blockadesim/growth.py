@@ -11,12 +11,17 @@ qubits are discarded.  A trial ends when some cluster reaches the target
 size, or when the step cap trips (reported as a failure, never an
 exception).
 
-``expected_cost_markov`` evaluates the same rules exactly.  Because blocks
-are only drawn below two clusters, the inventory never holds more than two;
-the reachable state space is tiny and the expected costs solve a linear
-system over it.  The solver shares no stepping code with the Monte Carlo
-loop, so the two sides cross-check each other.
-"""
+Because blocks are only drawn below two clusters, the inventory never holds
+more than two, so it fits in two integer slots (a, b).  The Monte Carlo
+walks each trial through a transition graph over those slot states, one
+uniform per step; the step rule lives only in ``_TransitionGraph.expand``,
+and ``run_trial`` and ``simulate_growth`` both run the one trial kernel
+``_walk_trials``.
+
+``expected_cost_markov`` evaluates the same rules exactly: the reachable
+state space is tiny and the expected costs solve a linear system over it.
+The solver shares no stepping code with the Monte Carlo walk, so the two
+sides cross-check each other."""
 
 from __future__ import annotations
 
@@ -111,10 +116,9 @@ class _TransitionGraph:
         self.stop[0] = self.stop[1] = self.stop
         self.states = []    # (a, b) per code
         self.absorbed = []  # per code
-        self.draws = []     # per code: the step buys a block
         self.rows = []      # per 2 * code + bit
         self._nodes = {}
-        self._tables = None
+        self._table = None
         self.start = self.node(0, 0)
 
     def node(self, a: int, b: int) -> list:
@@ -126,7 +130,6 @@ class _TransitionGraph:
                 found[0] = found[1] = found
             self.states.append((a, b))
             self.absorbed.append(done)
-            self.draws.append(False)
             self.rows += (_NO_COUNTS, _NO_COUNTS)
         return found
 
@@ -137,7 +140,6 @@ class _TransitionGraph:
         if a == 0 or b == 0:
             # fewer than two clusters: buy a block (attempts are tallied apart)
             node[0] = node[1] = self.node(self.block, b) if a == 0 else self.node(a, self.block)
-            self.draws[code] = True
             self.rows[2 * code:2 * code + 2] = ((1, 0, 0, 0, 0),) * 2
         else:
             # link: a win merges the pair; a failure measures one qubit of
@@ -147,7 +149,7 @@ class _TransitionGraph:
             node[0] = self.node(a if a >= 2 else 0, b if b >= 2 else 0)
             dropped = (a if a < 2 else 0) + (b if b < 2 else 0)
             self.rows[2 * code:2 * code + 2] = ((0, 1, 0, 2, dropped), (0, 1, 1, 0, 0))
-        self._tables = None
+        self._table = None
 
     def walk(self, node: list, bits: list) -> list:
         """The nodes from ``node`` on, one per bit, building those reached."""
@@ -158,11 +160,11 @@ class _TransitionGraph:
             path[i:] = accumulate(bits[i:], operator.getitem, initial=path[i])
         return path
 
-    def tables(self) -> tuple:
-        """(increments, one column per 2 * code + bit; draw flag per code) as arrays."""
-        if self._tables is None:
-            self._tables = (np.array(self.rows, dtype=np.int64).T.copy(), np.array(self.draws))
-        return self._tables
+    def table(self) -> np.ndarray:
+        """The increments as an array with one column per 2 * code + bit."""
+        if self._table is None:
+            self._table = np.array(self.rows, dtype=np.int64).T.copy()
+        return self._table
 
 
 @functools.lru_cache(maxsize=8)
@@ -190,14 +192,14 @@ def _tally(graph: _TransitionGraph, log_miss: float, parts: list, owners: list):
 
     ``parts`` holds (codes, bits, uniforms) of each segment's steps.
     """
-    rows, draws = graph.tables()
     codes = np.concatenate([part[0] for part in parts])
     bits = np.concatenate([part[1] for part in parts])
     starts = np.cumsum([0] + [len(part[0]) for part in parts[:-1]])
-    counts = np.add.reduceat(rows.take(2 * codes + bits, axis=1), starts, axis=1).T.tolist()
+    increments = graph.table().take(2 * codes + bits, axis=1)
+    counts = np.add.reduceat(increments, starts, axis=1).T.tolist()
     extra = np.zeros(len(codes))
     if log_miss:
-        drawn = draws[codes]
+        drawn = increments[0] > 0  # the steps that bought a block
         extra[drawn] = _extra_attempts(np.concatenate([part[2] for part in parts])[drawn],
                                        log_miss)
     if extra.sum() < 2.0**53:  # float sums of the integer floors stay exact
