@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import threading
 from dataclasses import dataclass, field, fields
 from itertools import accumulate
 from typing import Optional
@@ -106,7 +107,9 @@ class _TransitionGraph:
     points at the shared stop node until a walk reaches it there and
     ``expand`` applies the step rule.  ``rows[2 * code + bit]`` holds the
     counter increments of that step: blocks, link attempts, link successes,
-    qubits measured and qubits discarded.
+    qubits measured and qubits discarded.  The graph is shared through a
+    cache, so building it and reading its table take a lock; a node's
+    increments are stored before any walk can step through it.
     """
 
     def __init__(self, block: int, target: int):
@@ -119,6 +122,7 @@ class _TransitionGraph:
         self.rows = []      # per 2 * code + bit
         self._nodes = {}
         self._table = None
+        self._lock = threading.Lock()
         self.start = self.node(0, 0)
 
     def node(self, a: int, b: int) -> list:
@@ -139,32 +143,36 @@ class _TransitionGraph:
         a, b = self.states[code]
         if a == 0 or b == 0:
             # fewer than two clusters: buy a block (attempts are tallied apart)
-            node[0] = node[1] = self.node(self.block, b) if a == 0 else self.node(a, self.block)
-            self.rows[2 * code:2 * code + 2] = ((1, 0, 0, 0, 0),) * 2
+            rows = ((1, 0, 0, 0, 0),) * 2
+            fail = win = self.node(self.block, b) if a == 0 else self.node(a, self.block)
         else:
             # link: a win merges the pair; a failure measures one qubit of
             # each and discards a remnant below two qubits
-            node[1] = self.node(a + b, 0)
+            win = self.node(a + b, 0)
             a, b = a - 1, b - 1
-            node[0] = self.node(a if a >= 2 else 0, b if b >= 2 else 0)
+            fail = self.node(a if a >= 2 else 0, b if b >= 2 else 0)
             dropped = (a if a < 2 else 0) + (b if b < 2 else 0)
-            self.rows[2 * code:2 * code + 2] = ((0, 1, 0, 2, dropped), (0, 1, 1, 0, 0))
+            rows = ((0, 1, 0, 2, dropped), (0, 1, 1, 0, 0))
+        self.rows[2 * code:2 * code + 2] = rows
         self._table = None
+        node[0], node[1] = fail, win
 
     def walk(self, node: list, bits: list) -> list:
         """The nodes from ``node`` on, one per bit, building those reached."""
         path = list(accumulate(bits, operator.getitem, initial=node))
         while path[-1] is self.stop:
             i = list(map(_CODE, path)).index(_STOP) - 1
-            self.expand(path[i])
+            with self._lock:
+                self.expand(path[i])
             path[i:] = accumulate(bits[i:], operator.getitem, initial=path[i])
         return path
 
     def table(self) -> np.ndarray:
         """The increments as an array with one column per 2 * code + bit."""
-        if self._table is None:
-            self._table = np.array(self.rows, dtype=np.int64).T.copy()
-        return self._table
+        with self._lock:
+            if self._table is None:
+                self._table = np.array(self.rows, dtype=np.int64).T.copy()
+            return self._table
 
 
 @functools.lru_cache(maxsize=8)

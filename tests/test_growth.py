@@ -1,5 +1,8 @@
 import json
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -176,8 +179,9 @@ def test_run_trial_matches_reference_trial():
         for target in range(block, 21):
             for cap in REFERENCE_CAPS:
                 policy = GrowthPolicy(block, target, cap)
+                # at p_block = 1e-17 a trial's attempts pass 2^53
                 for p_block, eta_prime, seed in ((1.0, 1.0, 0), (0.28125, 0.5, 1),
-                                                 (0.05, 1.0, 2)):
+                                                 (0.05, 1.0, 2), (1e-17, 0.7, 3)):
                     got_rng = np.random.default_rng([seed, target, cap])
                     want_rng = np.random.default_rng([seed, target, cap])
                     got = run_trial(policy, p_block, eta_prime, got_rng)
@@ -231,6 +235,42 @@ def test_extra_attempts_at_the_geometric_boundaries():
     for x in apart[:200]:
         got = growth._extra_attempts(np.array([x]), math.log(1.0 - x))
         assert got.tolist() == reference_attempts(np.array([x]), math.log(1.0 - x)).tolist()
+
+
+class YieldingList(list):
+    """A list whose length hands the interpreter to another thread."""
+
+    def __len__(self):
+        size = super().__len__()
+        time.sleep(0.0005)
+        return size
+
+
+def test_threads_building_one_graph_get_the_reference_results():
+    policy = GrowthPolicy(4, 16, 5000)
+    want = reference_growth(policy, 0.8, 0.9, seed=4, trials=30)
+    growth._graph.cache_clear()
+    # numbering a new node invites a thread switch while the shared graph grows
+    graph = growth._graph(4, 16)
+    graph.states = YieldingList(graph.states)
+    results = [None] * 6
+
+    def work(i):
+        results[i] = simulate_growth(policy, 0.8, 0.9, seed=4, trials=30)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(results))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    growth._graph.cache_clear()
+    assert results == [want] * len(results)
 
 
 def test_walk_buffers_a_bounded_number_of_steps(monkeypatch):
