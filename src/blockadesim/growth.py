@@ -21,7 +21,8 @@ and ``run_trial`` and ``simulate_growth`` both run the one trial kernel
 ``expected_cost_markov`` evaluates the same rules exactly: the reachable
 state space is tiny and the expected costs solve a linear system over it.
 The solver shares no stepping code with the Monte Carlo walk, so the two
-sides cross-check each other."""
+sides cross-check each other.
+"""
 
 from __future__ import annotations
 
@@ -93,7 +94,6 @@ _TALLY_STEPS = 4096
 # Code of the stop node that the successors of an unbuilt node point at.
 _STOP = -1
 _CODE = operator.itemgetter(2)
-_NO_COUNTS = (0, 0, 0, 0, 0)
 
 
 class _TransitionGraph:
@@ -134,7 +134,7 @@ class _TransitionGraph:
                 found[0] = found[1] = found
             self.states.append((a, b))
             self.absorbed.append(done)
-            self.rows += (_NO_COUNTS, _NO_COUNTS)
+            self.rows += ((0, 0, 0, 0, 0),) * 2
         return found
 
     def expand(self, node: list):
