@@ -89,6 +89,8 @@ class ClusterInventory:
 
 # Uniforms a trial draws from its generator at a time, one per step.
 _DRAW_CHUNK = 256
+# Steps of a trial's first walk; each later walk doubles its steps so far.
+_FIRST_WALK = 32
 # Steps buffered between two tallies; bounds the walk's memory.
 _TALLY_STEPS = 4096
 # Code of the stop node that the successors of an unbuilt node point at.
@@ -195,14 +197,14 @@ def _extra_attempts(u: np.ndarray, log_miss: float) -> np.ndarray:
     return whole
 
 
-def _tally(graph: _TransitionGraph, log_miss: float, parts: list, owners: list):
+def _tally(graph: _TransitionGraph, log_miss: float, parts: list, owners: list, starts: list):
     """Add the counters of buffered walk segments to the inventories they belong to.
 
-    ``parts`` holds (codes, bits, uniforms) of each segment's steps.
+    ``parts`` holds (codes, bits, uniforms) of each segment's steps; the
+    steps of ``owners[i]`` begin at buffered step ``starts[i]``.
     """
     codes = np.concatenate([part[0] for part in parts])
     bits = np.concatenate([part[1] for part in parts])
-    starts = np.cumsum([0] + [len(part[0]) for part in parts[:-1]])
     increments = graph.table().take(2 * codes + bits, axis=1)
     counts = np.add.reduceat(increments, starts, axis=1).T.tolist()
     extra = np.zeros(len(codes))
@@ -227,8 +229,9 @@ def _walk_trials(policy: GrowthPolicy, p_block: float, eta_prime: float, rngs):
     """Run one growth trial per generator; yield (succeeded, inventory) in order.
 
     Each trial draws uniforms from its generator in chunks of ``_DRAW_CHUNK``,
-    one per step, and walks its cached transition graph through them; the
-    absorption step is the first visit of the absorbed node the walk ends
+    one per step, and walks its cached transition graph through them, each
+    walk as long as the trial so far (at least ``_FIRST_WALK`` steps); the
+    absorption step is the first visit of the absorbed node a walk ends
     on.  The step codes, bits and uniforms of consecutive trials are
     buffered and tallied together every ``_TALLY_STEPS`` steps.  Block
     generation attempts are geometric with the chain acceptance
@@ -238,25 +241,35 @@ def _walk_trials(policy: GrowthPolicy, p_block: float, eta_prime: float, rngs):
     cap = policy.step_cap
     graph = _graph(policy.block_size, policy.target_size)
     log_miss = math.log1p(-p_block) if p_block < 1.0 else 0.0
-    parts, owners, done, buffered = [], [], [], 0
+    parts, owners, starts, done, buffered = [], [], [], [], 0
     for rng in rngs:
         inv = ClusterInventory()
         node, steps = graph.start, 0
+        u, pos = np.empty(0), 0
         while True:
-            u = rng.random(_DRAW_CHUNK)[:cap - steps]
-            bits = u < q
-            path = graph.walk(node, bits.tolist())
+            if pos == len(u):
+                u = rng.random(_DRAW_CHUNK)[:cap - steps]
+                bits = u < q
+                pos = 0
+            # walk until the trial's step count doubles: a short trial walks
+            # few steps past its end, a long one walks whole chunks
+            end = pos + max(steps, _FIRST_WALK)
+            path = graph.walk(node, bits[pos:end].tolist())
             codes = np.fromiter(map(_CODE, path), np.intp, len(path))
-            absorbed = graph.absorbed[codes[-1]]
-            n = int(np.argmax(codes == codes[-1])) if absorbed else len(u)
-            parts.append((codes[:n], bits[:n], u[:n]))
-            owners.append(inv)
+            last = path[-1][2]
+            absorbed = graph.absorbed[last]
+            n = int((codes == last).argmax()) if absorbed else len(path) - 1
+            parts.append((codes[:n], bits[pos:pos + n], u[pos:pos + n]))
+            if not owners or owners[-1] is not inv:
+                owners.append(inv)
+                starts.append(buffered)
+            pos += n
             buffered += n
             steps += n
             node = path[n]
             if buffered >= _TALLY_STEPS:
-                _tally(graph, log_miss, parts, owners)
-                parts, owners, buffered = [], [], 0
+                _tally(graph, log_miss, parts, owners, starts)
+                parts, owners, starts, buffered = [], [], [], 0
                 yield from done
                 done = []
             if absorbed or steps == cap:
@@ -265,7 +278,7 @@ def _walk_trials(policy: GrowthPolicy, p_block: float, eta_prime: float, rngs):
         inv.clusters = [Cluster(size) for size in graph.states[node[2]] if size]
         done.append((absorbed, inv))
     if parts:
-        _tally(graph, log_miss, parts, owners)
+        _tally(graph, log_miss, parts, owners, starts)
     yield from done
 
 

@@ -170,7 +170,7 @@ def test_run_trial_deterministic_per_generator_state():
 # ---------------------------------------------------------------------------
 # run_trial and simulate_growth vs the per-step reference trial
 
-REFERENCE_CAPS = (1, 2, 7, 256, 257, 1_000_000)
+REFERENCE_CAPS = (1, 2, 7, 32, 33, 256, 257, 1_000_000)
 
 
 def test_run_trial_matches_reference_trial():
@@ -277,9 +277,9 @@ def test_walk_buffers_a_bounded_number_of_steps(monkeypatch):
     tallied = []
     tally = growth._tally
 
-    def recording(graph, log_miss, parts, owners):
+    def recording(graph, log_miss, parts, owners, starts):
         tallied.append(sum(len(part[0]) for part in parts))
-        tally(graph, log_miss, parts, owners)
+        tally(graph, log_miss, parts, owners, starts)
 
     monkeypatch.setattr(growth, "_tally", recording)
     policy = GrowthPolicy(4, 20, 50_000)
