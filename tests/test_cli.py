@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -59,6 +60,35 @@ def test_precedence_defaults_config_cli(tmp_path):
                          "--seed", "7"])
     assert config.params["eta"] == 0.25  # CLI beats config
     assert config.seed == 7
+
+
+def test_seed_format_and_output_from_config(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+    target = tmp_path / "ghz.csv"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed = 11\nformat = csv\noutput = {target}\n")
+    config = parse_args(["ghz", "--config", str(cfg)])
+    assert (config.seed, config.fmt, config.output) == (11, "csv", target)
+    assert main(["ghz", "--config", str(cfg), "--qubits", "6"]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert target.read_text().startswith("schema_version,")
+    # the command line beats the config file
+    config = parse_args(["ghz", "--config", str(cfg), "--seed", "3", "--format", "json",
+                         "--output", "other.json"])
+    assert (config.seed, config.fmt, config.output) == (3, "json", Path("other.json"))
+    for bad in ("seed = abc\n", "format = xml\n"):
+        cfg.write_text(bad)
+        assert main(["ghz", "--config", str(cfg)]) == EXIT_CONFIG, bad
+    capsys.readouterr()
+
+
+def test_budget_field_from_config(tmp_path):
+    cfg = tmp_path / "budget.cfg"
+    cfg.write_text("dark_count_rate_hz = 40\n")
+    from_config = json.loads(run_text(["budget", "--config", str(cfg)]))
+    from_set = json.loads(run_text(["budget", "--set", "dark_count_rate_hz=40"]))
+    assert from_config["params"]["dark_count_rate_hz"] == 40.0
+    assert from_config == from_set
 
 
 def test_read_config_file_errors(tmp_path):

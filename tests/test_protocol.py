@@ -128,6 +128,37 @@ def test_entangle_dark_counts_degrade_fidelity():
     assert noisy.success_probability > clean.success_probability
 
 
+@pytest.mark.parametrize("policy", list(HeraldPolicy))
+def test_entangle_conditional_states_match_sequential_detection_chain(policy):
+    # oracle: full density operator, detector on port 1 then on port 2, the
+    # policy's click records mixed, then reduction to (A, B) and storage transfer
+    absorption = AbsorptionModel(0.9)
+    det = DetectorModel(efficiency=0.7, dark_count_rate_hz=2e4, gate_time_s=5e-6)
+    joint = {}
+    for c1, p1, post1 in detect_outcomes(pair_pre_detection_state(absorption), 2, det):
+        if post1 is not None:
+            for c2, p2, post2 in detect_outcomes(post1, 3, det):
+                if post2 is not None:
+                    joint[(c1, c2)] = (p1 * p2, post2)
+    heralds = {
+        HeraldPolicy.PER_DETECTOR: {UP: lambda c1, c2: c1, DOWN: lambda c1, c2: c2},
+        HeraldPolicy.EXCLUSIVE: {UP: lambda c1, c2: c1 and not c2,
+                                 DOWN: lambda c1, c2: c2 and not c1},
+    }[policy]
+    out = entangle_pair_exact(absorption, det, policy)
+    for which, heralded in heralds.items():
+        mix = [(p, post) for (c1, c2), (p, post) in joint.items() if heralded(c1, c2)]
+        prob = sum(p for p, _ in mix)
+        want = partial_trace(DensityOperator.mixture(mix).scaled(1.0 / prob), (0, 1))
+        want = transfer_to_storage(transfer_to_storage(want, 0), 1)
+        branch = out.branch(which)
+        assert branch.probability == pytest.approx(prob, abs=1e-12)
+        got = branch.conditional_state
+        assert got.subsystems == want.subsystems
+        for ket, bra in set(want.elements) | set(got.elements):
+            assert got.element(ket, bra) == pytest.approx(want.element(ket, bra), abs=1e-12)
+
+
 def test_entangle_sampled_matches_exact():
     absorption = AbsorptionModel(0.9)
     det = DetectorModel(efficiency=0.4)
