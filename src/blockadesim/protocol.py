@@ -31,12 +31,17 @@ two-click patterns are accepted; each comes with a fixed local correction
 (bit flips plus one pi phase) mapping the conditional state onto the
 canonical (|gggg> + |ssss>) / sqrt(2).  Acceptance probability is eta^2 / 2.
 
-The chain is evaluated branch by branch: the pre-detection state is split
-by the occupations of the four detected ports, and each branch, a pure
-state of the registers once the ports are vacuum, is moved to the storage
-basis.  That grouping depends on the absorption model only and is cached,
-so a sweep over detector efficiency builds and groups the state once; each
-detector model then only re-weights the branches into per-pattern states.
+Register reduction
+------------------
+Both circuits list their ensemble registers first and detect every optical
+port, so one path reduces either to its registers: the pure pre-detection
+state is moved to the storage basis and split by the occupations of the
+detected ports, and each branch, a pure state of the registers once the
+ports are vacuum, drops the ports (``_register_groups``).  That grouping
+depends on the circuit and the absorption model only and is cached, so a
+sweep over detector models builds and groups each state once; each detector
+model then only re-weights the branches into per-pattern register states,
+the one place a density operator is formed.
 """
 
 from __future__ import annotations
@@ -65,6 +70,8 @@ from .state_algebra import (
     HybridState,
     OpticalMode,
     fidelity,
+    # unused here, but perfbench/tracer.py traces the reduction layer by
+    # rebinding protocol.partial_trace, so the name must stay in this module
     partial_trace,
 )
 
@@ -166,10 +173,31 @@ class EntangleOutcome:
         return num / den if den > 0.0 else None
 
 
-def _storage_pair_state(rho: DensityOperator) -> DensityOperator:
-    kept = partial_trace(rho, (0, 1))
-    kept = transfer_to_storage(kept, 0)
-    return transfer_to_storage(kept, 1)
+# (circuit, absorption model) pairs whose grouped branches stay cached.  A
+# sweep holds one absorption model fixed, so a handful is plenty.
+REGISTER_GROUPS_CACHE_SIZE = 4
+
+
+@lru_cache(maxsize=REGISTER_GROUPS_CACHE_SIZE)
+def _register_groups(pre_detection_state, modes: tuple, absorption: AbsorptionModel) -> tuple:
+    """(pre-detection state, its occupation groups on ``modes`` as register branches).
+
+    ``pre_detection_state(absorption)`` builds a circuit whose registers
+    come first and whose ports are all in ``modes``, so each branch is a
+    pure state of the registers, in the storage basis.  Both values are
+    immutable.
+    """
+    pre = pre_detection_state(absorption)
+    n_registers = len(pre.subsystems) - len(modes)
+    stored = pre
+    for reg in range(n_registers):
+        stored = transfer_to_storage(stored, reg)
+
+    def drop_vacuum_ports(branch: HybridState) -> HybridState:
+        return HybridState._trusted(branch.subsystems[:n_registers],
+                                    {key[:n_registers]: amp for key, amp in branch})
+
+    return pre, group_occupations(stored, modes).map(drop_vacuum_ports)
 
 
 def entangle_pair_exact(absorption: AbsorptionModel = AbsorptionModel(),
@@ -178,11 +206,13 @@ def entangle_pair_exact(absorption: AbsorptionModel = AbsorptionModel(),
     """Full outcome enumeration of the heralded pair protocol.
 
     Branch probabilities and conditional states follow the chosen herald
-    policy; the conditional states are reduced to the two ensembles and
-    transferred to the storage basis.
+    policy; the conditional states are mixed from the cached register
+    branches (see the module docstring), so they hold the two ensembles in
+    the storage basis.
     """
-    pre = pair_pre_detection_state(absorption)
-    table = detect_all_probabilities(pre, (_PAIR_MODE_OF[UP], _PAIR_MODE_OF[DOWN]), detector)
+    modes = (_PAIR_MODE_OF[UP], _PAIR_MODE_OF[DOWN])
+    pre, groups = _register_groups(pair_pre_detection_state, modes, absorption)
+    table = detect_all_probabilities(groups, modes, detector)
 
     def joint(first: bool, second: bool) -> tuple:
         return table[HeraldPattern((first, second))]
@@ -203,7 +233,6 @@ def entangle_pair_exact(absorption: AbsorptionModel = AbsorptionModel(),
                 mix.append((p, rho))
         if prob > 0.0:
             conditional = DensityOperator.mixture(mix).scaled(1.0 / prob)
-            conditional = _storage_pair_state(conditional)
             fid = fidelity(conditional, psi_pair(_PAIR_SIGN_OF[which]))
         else:
             conditional = None
@@ -325,10 +354,6 @@ ACCEPTED_GHZ_PATTERNS = frozenset(HeraldPattern(p) for p in GHZ_CORRECTIONS)
 # Modes watched by D1..D4: port1, port2, port4, port3 (see ghz4_exact).
 GHZ_DETECTED_MODES = (4, 5, 7, 6)
 
-# Absorption models whose grouped branches stay cached.  A sweep holds one
-# absorption model fixed, so a handful is plenty.
-GHZ_GROUPS_CACHE_SIZE = 4
-
 
 def ghz_register() -> tuple:
     return (
@@ -369,27 +394,6 @@ def apply_corrections(rho, corrections):
         else:
             raise ValueError(f"unknown correction {op!r}")
     return rho
-
-
-def _drop_vacuum_ports(branch: HybridState) -> HybridState:
-    """Registers A..D of a branch whose four ports are all in vacuum."""
-    return HybridState._trusted(branch.subsystems[:4],
-                                {key[:4]: amp for key, amp in branch})
-
-
-@lru_cache(maxsize=GHZ_GROUPS_CACHE_SIZE)
-def _ghz_register_groups(absorption: AbsorptionModel) -> tuple:
-    """(pre-detection state, its occupation groups as storage-basis register branches).
-
-    Depends on the absorption model only; both values are immutable.
-    """
-    pre = ghz_pre_detection_state(absorption)
-    stored = pre
-    for reg in range(4):
-        stored = transfer_to_storage(stored, reg)
-    # every port is detected, so each branch is a pure state of A..D
-    groups = group_occupations(stored, GHZ_DETECTED_MODES).map(_drop_vacuum_ports)
-    return pre, groups
 
 
 @dataclass(frozen=True)
@@ -433,7 +437,7 @@ def ghz4_exact(absorption: AbsorptionModel = AbsorptionModel(),
     state is reported for diagnostics.  The conditional states are mixed
     from the cached register branches (see the module docstring).
     """
-    pre, groups = _ghz_register_groups(absorption)
+    pre, groups = _register_groups(ghz_pre_detection_state, GHZ_DETECTED_MODES, absorption)
     table = detect_all_probabilities(groups, GHZ_DETECTED_MODES, detector)
 
     accepted = []

@@ -303,7 +303,7 @@ def _ghz_summary(out):
 def test_ghz_group_cache_changes_no_result():
     p = 0.93
     etas = (0.4, 0.8, 0.4)
-    groups = protocol._ghz_register_groups
+    groups = protocol._register_groups
     groups.cache_clear()
     cached = [ghz4_exact(AbsorptionModel(p), DetectorModel(efficiency=eta)) for eta in etas]
     assert (groups.cache_info().misses, groups.cache_info().hits) == (1, 2)
