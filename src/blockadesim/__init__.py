@@ -37,7 +37,6 @@ from .ensemble import (
     transfer_to_storage,
 )
 from .protocol import (
-    Cluster,
     EntangleOutcome,
     GhzOutcome,
     HeraldPolicy,
@@ -61,7 +60,6 @@ __all__ = [
     "ATOL_STATE",
     "AbsorptionModel",
     "BudgetParams",
-    "Cluster",
     "DensityOperator",
     "DetectorModel",
     "EnsembleQudit",

@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .protocol import Cluster, ghz_success_probability, link_success_probability
+from .protocol import ghz_success_probability, link_success_probability
 
 
 # Largest target the dense Markov solve accepts.
@@ -62,7 +62,7 @@ class GrowthPolicy:
 
 @dataclass
 class ClusterInventory:
-    """Mutable per-trial ledger: cluster stock plus non-decreasing counters."""
+    """Mutable per-trial ledger: cluster sizes in stock plus non-decreasing counters."""
 
     clusters: list = field(default_factory=list)
     consumed_ghz_blocks: int = 0
@@ -73,13 +73,10 @@ class ClusterInventory:
     qubits_measured: int = 0
     qubits_discarded: int = 0
 
-    def qubits_in_stock(self) -> int:
-        return sum(c.size for c in self.clusters)
-
     def assert_ledger_balanced(self, block_size: int):
         """Total qubits created must be fully accounted for."""
         created = self.consumed_ghz_blocks * block_size
-        kept = self.qubits_in_stock()
+        kept = sum(self.clusters)
         if created != kept + self.qubits_measured + self.qubits_discarded:
             raise AssertionError(
                 f"qubit ledger broken: created {created}, kept {kept}, "
@@ -275,7 +272,7 @@ def _walk_trials(policy: GrowthPolicy, p_block: float, eta_prime: float, rngs):
             if absorbed or steps == cap:
                 break
         inv.elapsed_steps = steps
-        inv.clusters = [Cluster(size) for size in graph.states[node[2]] if size]
+        inv.clusters = [size for size in graph.states[node[2]] if size]
         done.append((absorbed, inv))
     if parts:
         _tally(graph, log_miss, parts, owners, starts)

@@ -496,14 +496,3 @@ def link_success_probability(eta_prime: float) -> float:
     if not 0.0 <= eta_prime <= 1.0:
         raise ValueError(f"eta_prime must be in [0, 1], got {eta_prime}")
     return eta_prime / 8.0
-
-
-@dataclass(frozen=True)
-class Cluster:
-    """A stored linear cluster state, tracked by qubit count only."""
-
-    size: int
-
-    def __post_init__(self):
-        if not isinstance(self.size, int) or self.size < 1:
-            raise ValueError(f"cluster size must be an integer >= 1, got {self.size!r}")

@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from blockadesim.growth import ClusterInventory, GrowthStatistics, growth_rates
-from blockadesim.protocol import Cluster, link_success_probability
+from blockadesim.protocol import link_success_probability
 from blockadesim.state_algebra import (
     EnsembleQudit,
     HybridState,
@@ -149,7 +149,7 @@ def reference_trial(policy, p_block, eta_prime, rng):
     success = a >= target or b >= target
 
     inv = ClusterInventory(
-        clusters=[Cluster(s) for s in (a, b) if s],
+        clusters=[s for s in (a, b) if s],
         consumed_ghz_blocks=blocks,
         generation_attempts=gens,
         link_attempts=links,

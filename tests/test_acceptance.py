@@ -269,4 +269,4 @@ def test_criterion_8_property_suite(capsys):
             assert inv.elapsed_steps == inv.consumed_ghz_blocks + inv.link_attempts
             assert inv.link_successes <= inv.link_attempts
             if ok:
-                assert any(c.size >= policy.target_size for c in inv.clusters)
+                assert any(size >= policy.target_size for size in inv.clusters)

@@ -16,7 +16,7 @@ from blockadesim.growth import (
     run_trial,
     simulate_growth,
 )
-from blockadesim.protocol import Cluster, ghz_success_probability
+from blockadesim.protocol import ghz_success_probability
 from helpers import reference_growth, reference_trial
 
 
@@ -53,7 +53,7 @@ def test_policy_validation():
 
 def test_ledger_assertion():
     inv = ClusterInventory(
-        clusters=[Cluster(6)], consumed_ghz_blocks=2,
+        clusters=[6], consumed_ghz_blocks=2,
         qubits_measured=1, qubits_discarded=1,
     )
     inv.assert_ledger_balanced(4)
@@ -79,7 +79,7 @@ def test_run_trial_scripted_trajectory():
     assert inv.link_successes == 2
     assert inv.qubits_measured == 2
     assert inv.qubits_discarded == 0
-    assert sorted(c.size for c in inv.clusters) == [10]
+    assert inv.clusters == [10]
     inv.assert_ledger_balanced(4)
 
 
@@ -107,7 +107,7 @@ def test_run_trial_failed_link_keeps_large_remnant_and_drops_small():
     policy = GrowthPolicy(block_size=4, target_size=12, step_cap=7)
     ok, inv = run_trial(policy, 1.0, 1.0, ArrayRng(script))
     assert not ok
-    assert [c.size for c in inv.clusters] == [5]
+    assert inv.clusters == [5]
     assert inv.qubits_measured == 6
     assert inv.qubits_discarded == 1
     inv.assert_ledger_balanced(4)
@@ -115,7 +115,7 @@ def test_run_trial_failed_link_keeps_large_remnant_and_drops_small():
     policy = GrowthPolicy(block_size=4, target_size=12)
     ok, inv = run_trial(policy, 1.0, 1.0, ArrayRng(script))
     assert ok
-    assert [c.size for c in inv.clusters] == [13]
+    assert inv.clusters == [13]
     assert inv.elapsed_steps == 11
     assert inv.consumed_ghz_blocks == 5
     assert inv.link_attempts == 6
@@ -150,11 +150,11 @@ def test_run_trial_reaching_the_target_on_the_last_allowed_step_succeeds():
         ok, inv = run_trial(GrowthPolicy(4, 4, cap), 1.0, 1.0, ArrayRng([]))
         assert ok, cap
         assert inv.elapsed_steps == 1
-        assert [c.size for c in inv.clusters] == [4]
+        assert inv.clusters == [4]
     # draw, draw, win: size 8 on step 3 of 3
     ok, inv = run_trial(GrowthPolicy(4, 8, 3), 1.0, 1.0, ArrayRng([0.5, 0.5, 0.01]))
     assert ok
-    assert [c.size for c in inv.clusters] == [8]
+    assert inv.clusters == [8]
     stats = simulate_growth(GrowthPolicy(4, 4, 1), 0.9, 0.9, seed=1, trials=20)
     assert stats.success_fraction == 1.0
     assert stats.cap_hit_fraction == 0.0

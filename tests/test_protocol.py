@@ -12,7 +12,6 @@ from blockadesim.protocol import (
     DOWN,
     GHZ_CORRECTIONS,
     UP,
-    Cluster,
     HeraldPolicy,
     apply_corrections,
     canonical_ghz,
@@ -362,13 +361,3 @@ def test_link_success_probability():
         link_success_probability(-0.1)
     with pytest.raises(ValueError):
         link_success_probability(1.1)
-
-
-def test_cluster_validation():
-    assert Cluster(2).size == 2
-    with pytest.raises(ValueError):
-        Cluster(0)
-    with pytest.raises(ValueError):
-        Cluster(-3)
-    with pytest.raises(ValueError):
-        Cluster(2.5)
