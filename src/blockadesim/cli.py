@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -98,12 +99,30 @@ COMMAND_PARAMS = {
     ),
 }
 
+# Options of every command; a config file may set them too.
+GLOBAL_PARAMS = (
+    ParamSpec("seed", int, 0, "master RNG seed"),
+    ParamSpec("output", Path, None, "artifact path (stdout when omitted)"),
+    ParamSpec("format", str, "json", "artifact format (default json)",
+              ("json", "csv", "text")),
+)
+
 # budget accepts every BudgetParams field as an override key
 _BUDGET_FIELDS = tuple(f.name for f in fields(budget_mod.BudgetParams))
 
 
 def _param_index(command: str) -> dict:
     return {spec.name: spec for spec in COMMAND_PARAMS[command]}
+
+
+def _parse_value(spec: ParamSpec, raw: str):
+    try:
+        value = spec.parse(raw)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {spec.name}: {exc}") from None
+    if spec.choices and value not in spec.choices:
+        raise ConfigError(f"{spec.name} must be one of {spec.choices}, got {value!r}")
+    return value
 
 
 def _parse_override(command: str, text: str) -> tuple:
@@ -114,14 +133,7 @@ def _parse_override(command: str, text: str) -> tuple:
     raw = raw.strip()
     index = _param_index(command)
     if key in index:
-        spec = index[key]
-        try:
-            value = spec.parse(raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key}: {exc}") from None
-        if spec.choices and value not in spec.choices:
-            raise ConfigError(f"{key} must be one of {spec.choices}, got {value!r}")
-        return key, value
+        return key, _parse_value(index[key], raw)
     if command == "budget" and key in _BUDGET_FIELDS:
         try:
             return key, float(raw)
@@ -158,7 +170,14 @@ class RunConfig:
     # sweep only
     sweep_command: Optional[str] = None
     ranges: tuple = ()
-    max_grid: int = 10_000
+
+
+def _add_flags(parser: argparse.ArgumentParser, specs):
+    """One flag per spec, None when absent so that _resolve sees it unset."""
+    for spec in specs:
+        kwargs = {"choices": spec.choices} if spec.choices else {"type": spec.parse}
+        parser.add_argument("--" + spec.name.replace("_", "-"), dest=spec.name,
+                            default=None, help=spec.help, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -169,23 +188,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--seed", type=int, default=None, help="master RNG seed")
         p.add_argument("--config", type=Path, default=None,
                        help="key = value file with parameter defaults")
-        p.add_argument("--output", type=Path, default=None,
-                       help="artifact path (stdout when omitted)")
-        p.add_argument("--format", dest="fmt", choices=("json", "csv", "text"),
-                       default=None, help="artifact format (default json)")
+        _add_flags(p, GLOBAL_PARAMS)
 
     for command, specs in COMMAND_PARAMS.items():
         p = sub.add_parser(command)
-        for spec in specs:
-            flag = "--" + spec.name.replace("_", "-")
-            kwargs = {"type": spec.parse, "default": None, "help": spec.help}
-            if spec.choices:
-                kwargs["choices"] = spec.choices
-                kwargs.pop("type")
-            p.add_argument(flag, dest=spec.name, **kwargs)
+        _add_flags(p, specs)
         if command == "budget":
             p.add_argument("--set", dest="overrides", action="append", default=[],
                            metavar="FIELD=VALUE", help="override one parameter field")
@@ -197,28 +206,29 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="KEY=VALUE", help="fixed parameter for every grid point")
     p.add_argument("--range", dest="ranges", action="append", default=[],
                    metavar="KEY=START:STOP:STEP", help="swept parameter (max 2)")
-    p.add_argument("--max-grid", type=int, default=None, help="grid size bound")
+    p.add_argument("--max-grid", type=int, default=10_000, help="grid size bound")
     add_common(p)
     return parser
 
 
-def _resolve_params(command: str, args, config_values: dict) -> dict:
-    params = {}
-    known = _param_index(command)
-    for spec in COMMAND_PARAMS[command]:
+def _resolve(specs, args, config_values: dict) -> dict:
+    """{name: value} of ``specs``: the flag, else the config file, else the default."""
+    out = {}
+    for spec in specs:
         value = getattr(args, spec.name, None)
         if value is None and spec.name in config_values:
-            _, value = _parse_override(command, f"{spec.name}={config_values[spec.name]}")
-        if value is None:
-            value = spec.default
-        if spec.choices and value not in spec.choices:
-            raise ConfigError(f"{spec.name} must be one of {spec.choices}")
-        params[spec.name] = value
+            value = _parse_value(spec, config_values[spec.name])
+        out[spec.name] = spec.default if value is None else value
+    return out
+
+
+def _resolve_params(command: str, args, config_values: dict) -> dict:
+    params = _resolve(COMMAND_PARAMS[command], args, config_values)
+    known = set(params) | {spec.name for spec in GLOBAL_PARAMS}
     for key, raw in config_values.items():
-        if key in known or key in ("seed", "format", "output"):
-            continue
-        key, value = _parse_override(command, f"{key}={raw}")
-        params[key] = value
+        if key not in known:
+            key, value = _parse_override(command, f"{key}={raw}")
+            params[key] = value
     for text in getattr(args, "overrides", []) or []:
         key, value = _parse_override(command, text)
         params[key] = value
@@ -267,59 +277,27 @@ def _grid_values(start: float, step: float, count: int, integral: bool) -> tuple
 def parse_args(argv=None) -> RunConfig:
     args = build_parser().parse_args(argv)
     config_values = read_config_file(args.config) if args.config else {}
-
-    def global_value(name, fallback):
-        cli = getattr(args, name if name != "format" else "fmt")
-        if cli is not None:
-            return cli
-        if name in config_values:
-            raw = config_values[name]
-            if name == "seed":
-                try:
-                    return int(raw)
-                except ValueError:
-                    raise ConfigError(f"seed must be an integer, got {raw!r}") from None
-            if name == "format":
-                if raw not in ("json", "csv", "text"):
-                    raise ConfigError(f"unknown format {raw!r}")
-                return raw
-            return Path(raw)
-        return fallback
-
-    seed = global_value("seed", 0)
-    fmt = global_value("format", "json")
-    output = global_value("output", None)
-
-    if args.command == "sweep":
-        inner = args.swept
-        params = _resolve_params(inner, args, config_values)
-        _require_finite(params)
-        specs = [_parse_range(inner, r) for r in args.ranges]
-        if not specs:
-            raise ConfigError("sweep needs at least one --range")
-        if len(specs) > 2:
-            raise ConfigError("at most 2 swept parameters")
-        names = [spec[0] for spec in specs]
-        if len(set(names)) != len(names):
-            raise ConfigError("swept parameters must be distinct")
-        max_grid = args.max_grid if args.max_grid is not None else 10_000
-        size = math.prod(spec[3] for spec in specs)
-        if size > max_grid:
-            raise GridBoundError(f"sweep grid has {size} points, bound is {max_grid}")
-        return RunConfig(
-            command="sweep",
-            params=params,
-            seed=seed,
-            output=output,
-            fmt=fmt,
-            sweep_command=inner,
-            ranges=tuple((spec[0], _grid_values(*spec[1:])) for spec in specs),
-            max_grid=max_grid,
-        )
-    params = _resolve_params(args.command, args, config_values)
+    common = _resolve(GLOBAL_PARAMS, args, config_values)
+    inner = args.swept if args.command == "sweep" else args.command
+    params = _resolve_params(inner, args, config_values)
     _require_finite(params)
-    return RunConfig(command=args.command, params=params, seed=seed,
-                     output=output, fmt=fmt)
+    config = RunConfig(command=args.command, params=params, seed=common["seed"],
+                       output=common["output"], fmt=common["format"])
+    if args.command != "sweep":
+        return config
+    specs = [_parse_range(inner, r) for r in args.ranges]
+    if not specs:
+        raise ConfigError("sweep needs at least one --range")
+    if len(specs) > 2:
+        raise ConfigError("at most 2 swept parameters")
+    names = [spec[0] for spec in specs]
+    if len(set(names)) != len(names):
+        raise ConfigError("swept parameters must be distinct")
+    size = math.prod(spec[3] for spec in specs)
+    if size > args.max_grid:
+        raise GridBoundError(f"sweep grid has {size} points, bound is {args.max_grid}")
+    return replace(config, sweep_command=inner,
+                   ranges=tuple((spec[0], _grid_values(*spec[1:])) for spec in specs))
 
 
 # ---------------------------------------------------------------------------
@@ -470,11 +448,7 @@ def _run_sweep(config: RunConfig) -> list:
     grids = [values for _, values in config.ranges]
     handler = HANDLERS[config.sweep_command]
     rows = []
-    if len(grids) == 1:
-        points = [(v,) for v in grids[0]]
-    else:
-        points = [(a, b) for a in grids[0] for b in grids[1]]
-    for point in points:
+    for point in itertools.product(*grids):
         params = dict(config.params)
         params.update(zip(names, point))
         _, row = handler(params, config.seed)
