@@ -329,12 +329,6 @@ class DensityOperator:
     def trace(self) -> complex:
         return complex(sum(v for (k, b), v in self._elems.items() if k == b))
 
-    def normalized(self) -> "DensityOperator":
-        tr = self.trace().real
-        if tr <= ATOL_STATE:
-            raise ValueError("cannot normalize a (numerically) zero operator")
-        return self.scaled(1.0 / tr)
-
     def expectation(self, psi: HybridState) -> complex:
         """<psi| rho |psi>."""
         if not same_structure(self, psi):
@@ -382,9 +376,6 @@ class DensityOperator:
         if lo < -atol_psd:
             raise ValueError(f"negative eigenvalue {lo} below -{atol_psd}")
 
-    def to_density(self) -> "DensityOperator":
-        return self
-
     def __repr__(self) -> str:
         return f"DensityOperator({len(self._elems)} elements, trace={self.trace():.4g})"
 
@@ -424,8 +415,6 @@ def measure_projective(state: HybridState, subsystem: int, labels) -> tuple:
 
 def fidelity(rho, psi: HybridState) -> float:
     """Pure-target fidelity <psi|rho|psi>; for a pure state phi it is |<psi|phi>|^2."""
-    if isinstance(rho, HybridState):
-        return float(min(abs(psi.inner(rho)) ** 2, 1.0))
     value = as_density(rho).expectation(psi)
     if abs(value.imag) > ATOL_PSD:
         raise ValueError(f"fidelity came out non-real ({value}); operator not hermitian?")
