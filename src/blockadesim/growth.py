@@ -345,6 +345,10 @@ def growth_rates(policy: GrowthPolicy, eta: float, eta_prime: float) -> tuple:
     p_block = ghz_success_probability(policy.block_size, eta)
     if p_block <= 0.0:
         raise ValueError("eta = 0 can never supply blocks")
+    # attempts per block reach log(1 - u) / log1p(-p_block) at u = 1 - 2^-53
+    if p_block < 1.0 and not math.isfinite(math.log(2.0**-53) / math.log1p(-p_block)):
+        raise ValueError(f"block probability {p_block!r} is too small: "
+                         "its largest attempt count overflows a float")
     q = link_success_probability(eta_prime)
     if q <= 0.0 and policy.target_size > policy.block_size:
         raise ValueError("eta_prime = 0 can never reach a target above one block")

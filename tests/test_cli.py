@@ -297,6 +297,10 @@ def test_grow_unreachable_target_exits_before_any_trial(monkeypatch, capsys):
     monkeypatch.setattr(growth_mod, "_walk_trials", no_trial)
     assert main(["grow", "--eta-prime", "0"]) == EXIT_VALIDATION
     assert "eta_prime = 0" in capsys.readouterr().err
+    # a subnormal block probability, whose attempt counts would overflow
+    for eta in ("1e-160", "1e-155"):
+        assert main(["grow", "--eta", eta, "--trials", "2", "--target", "4"]) == EXIT_VALIDATION
+    assert "attempt count" in capsys.readouterr().err
 
 
 def test_grow_builds_only_the_graph_nodes_it_visits(capsys):
