@@ -62,8 +62,7 @@ def test_precedence_defaults_config_cli(tmp_path):
     assert config.seed == 7
 
 
-def test_seed_format_and_output_from_config(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+def test_seed_format_and_output_from_config(tmp_path, capsys):
     target = tmp_path / "ghz.csv"
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"seed = 11\nformat = csv\noutput = {target}\n")
