@@ -22,7 +22,6 @@ from .optics import (
     DetectorModel,
     HeraldPattern,
     beam_splitter,
-    detect,
     detect_all_probabilities,
     detect_outcomes,
     phase_shift,
@@ -33,7 +32,6 @@ from .ensemble import (
     gate_h,
     gate_phase,
     gate_x,
-    readout,
     transfer_to_storage,
 )
 from .protocol import (
@@ -47,13 +45,18 @@ from .protocol import (
     link_success_probability,
 )
 from .budget import BudgetParams, budget_report, preset
-from .growth import (
-    GrowthPolicy,
-    expected_cost_markov,
-    simulate_growth,
-)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # growth loads numpy, so it is imported on first use of one of its names
+    if name in ("GrowthPolicy", "expected_cost_markov", "simulate_growth"):
+        from . import growth
+
+        return getattr(growth, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ATOL_PSD",
@@ -73,7 +76,6 @@ __all__ = [
     "beam_splitter",
     "blockade_absorb",
     "budget_report",
-    "detect",
     "detect_all_probabilities",
     "detect_outcomes",
     "entangle_pair_exact",
@@ -90,7 +92,6 @@ __all__ = [
     "partial_trace",
     "phase_shift",
     "preset",
-    "readout",
     "simulate_growth",
     "tensor",
     "transfer_to_storage",

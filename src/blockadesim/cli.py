@@ -11,7 +11,8 @@ byte-identical artifacts.  Output goes to stdout unless ``--output`` names a
 file, which is written atomically; a relative path lands under
 ``$BLOCKADESIM_OUTPUT_DIR`` when that is set.
 
-Exit codes: 0 success, 2 configuration/usage error, 3 parameter validation
+Exit codes: 0 success, 2 configuration/usage error (an output path that is
+a directory or cannot be written among them), 3 parameter validation
 error (a non-finite parameter or artifact value among them), 4 runtime cap
 (sweep grid bound) exceeded.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -32,7 +34,6 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from . import budget as budget_mod
-from . import growth as growth_mod
 from . import protocol as protocol_mod
 from .ensemble import AbsorptionModel
 from .optics import DetectorModel
@@ -180,7 +181,9 @@ def _add_flags(parser: argparse.ArgumentParser, specs):
                             default=None, help=spec.help, **kwargs)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="blockadesim",
         description="heralded entanglement and cluster growth toolkit",
@@ -274,6 +277,18 @@ def _grid_values(start: float, step: float, count: int, integral: bool) -> tuple
     return tuple(int(v) for v in values) if integral else tuple(values)
 
 
+def _output_path(output: Optional[Path]) -> Optional[Path]:
+    """``output``, under ``$BLOCKADESIM_OUTPUT_DIR`` when relative; a directory is refused."""
+    if output is None:
+        return None
+    base = os.environ.get(OUTPUT_DIR_ENV)
+    if base and not output.is_absolute():
+        output = Path(base) / output
+    if output.is_dir():
+        raise ConfigError(f"output path {output} is a directory")
+    return output
+
+
 def parse_args(argv=None) -> RunConfig:
     args = build_parser().parse_args(argv)
     config_values = read_config_file(args.config) if args.config else {}
@@ -282,7 +297,7 @@ def parse_args(argv=None) -> RunConfig:
     params = _resolve_params(inner, args, config_values)
     _require_finite(params)
     config = RunConfig(command=args.command, params=params, seed=common["seed"],
-                       output=common["output"], fmt=common["format"])
+                       output=_output_path(common["output"]), fmt=common["format"])
     if args.command != "sweep":
         return config
     specs = [_parse_range(inner, r) for r in args.ranges]
@@ -403,6 +418,8 @@ def _handle_budget(params: dict, seed: int) -> tuple:
 
 
 def _handle_grow(params: dict, seed: int) -> tuple:
+    from . import growth as growth_mod  # loads numpy, which the exact commands never need
+
     policy = growth_mod.GrowthPolicy(
         block_size=params["block_size"],
         target_size=params["target"],
@@ -546,11 +563,6 @@ def _render_rows_text(rows: list) -> str:
 
 
 def _write_atomic(path: Path, text: str):
-    path = Path(path)
-    if not path.is_absolute():
-        base = os.environ.get(OUTPUT_DIR_ENV)
-        if base:
-            path = Path(base) / path
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
@@ -583,8 +595,12 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     if config.output is None:
         sys.stdout.write(text)
-    else:
+        return EXIT_OK
+    try:
         _write_atomic(config.output, text)
+    except OSError as exc:
+        print(f"error: cannot write {config.output}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 

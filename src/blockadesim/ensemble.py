@@ -18,15 +18,12 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .state_algebra import (
     ATOL_STATE,
     DensityOperator,
     EnsembleQudit,
     HybridState,
     OpticalMode,
-    measure_projective,
 )
 
 LOGICAL_LEVELS = ("g", "s")
@@ -221,19 +218,3 @@ def transfer_to_storage(obj, index: int):
         obj.subsystems,
         {(relabel(k), relabel(b)): v for (k, b), v in obj.elements.items()},
     )
-
-
-def readout(state: HybridState, index: int, rng: np.random.Generator) -> tuple:
-    """Sample a logical Z measurement on one register; returns (bit, post_state).
-
-    bit 0 means "g", bit 1 means "s".  Requires all weight in the logical pair.
-    """
-    _require_qudit(state, index)
-    leak = _weight_outside_logical(state, index)
-    if leak > ATOL_STATE:
-        raise ValueError(f"readout on register {index} with weight {leak:.3g} outside g/s")
-    p0, post0 = measure_projective(state, index, {"g"})
-    if rng.random() < p0:
-        return 0, post0
-    _, post1 = measure_projective(state, index, {"s"})
-    return 1, post1

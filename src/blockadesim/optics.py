@@ -36,8 +36,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .state_algebra import (
     ATOL_STATE,
     DensityOperator,
@@ -251,29 +249,6 @@ def detect_outcomes(state, mode: int, det: DetectorModel) -> list:
         post = DensityOperator(rho.subsystems, elems).scaled(1.0 / prob)
         results.append((outcome, prob, post))
     return results
-
-
-def detect(state, mode: int, det: DetectorModel, rng: np.random.Generator) -> tuple:
-    """Sample one detector on one mode; returns (HeraldPattern, post_state).
-
-    The post state is the normalized conditional density operator for the
-    sampled outcome, with the measured mode left in vacuum.
-    """
-    options = detect_outcomes(state, mode, det)
-    r = rng.random() * sum(p for _, p, _ in options)
-    acc = 0.0
-    chosen = None
-    for outcome, prob, post in options:
-        acc += prob
-        if r < acc and post is not None:
-            chosen = (outcome, post)
-            break
-    if chosen is None:
-        # r landed beyond the accumulated mass by rounding: take the last
-        # outcome with support
-        chosen = next((o, s) for o, p, s in reversed(options) if s is not None)
-    outcome, post = chosen
-    return HeraldPattern((outcome,)), post
 
 
 @dataclass(frozen=True)

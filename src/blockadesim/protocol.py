@@ -52,8 +52,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-import numpy as np
-
 from .ensemble import AbsorptionModel, blockade_absorb, gate_phase, gate_x, transfer_to_storage
 from .optics import (
     DetectorModel,
@@ -297,6 +295,8 @@ def entangle_pair_sampled(absorption: AbsorptionModel, detector: DetectorModel,
     conditioning (a code path independent of ``entangle_pair_exact``), then
     sampled with one uniform draw per trial, drawn ``SAMPLE_CHUNK`` at a time.
     """
+    import numpy as np  # imported here so that the exact commands never load numpy
+
     if trials < 1:
         raise ValueError("trials must be >= 1")
     pre = pair_pre_detection_state(absorption)

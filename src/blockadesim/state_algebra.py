@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Union
-
-import numpy as np
 
 # Algebraic tolerance: norms, traces, hermiticity, unitarity.
 ATOL_STATE = 1e-12
@@ -84,9 +83,12 @@ class OpticalMode:
         return tuple(range(self.cutoff + 1))
 
     def label_index(self, label) -> int:
-        if isinstance(label, bool) or not isinstance(label, (int, np.integer)):
-            raise ValueError(f"mode occupation must be an integer, got {label!r}")
-        n = int(label)
+        try:
+            if isinstance(label, bool):
+                raise TypeError
+            n = operator.index(label)
+        except TypeError:
+            raise ValueError(f"mode occupation must be an integer, got {label!r}") from None
         if not 0 <= n <= self.cutoff:
             raise ValueError(f"occupation {n} outside cutoff {self.cutoff}")
         return n
@@ -351,6 +353,8 @@ class DensityOperator:
 
     def to_dense(self):
         """Matrix on the support basis; returns (matrix, basis_kets)."""
+        import numpy as np
+
         basis = self.support_kets()
         index = {k: i for i, k in enumerate(basis)}
         mat = np.zeros((len(basis), len(basis)), dtype=complex)
@@ -359,6 +363,8 @@ class DensityOperator:
         return mat, basis
 
     def min_eigenvalue(self) -> float:
+        import numpy as np
+
         if not self._elems:
             return 0.0
         mat, _ = self.to_dense()

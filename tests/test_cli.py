@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,7 @@ from blockadesim.cli import (
     OUTPUT_DIR_ENV,
     SCHEMA_VERSION,
     ConfigError,
+    build_parser,
     main,
     parse_args,
     read_config_file,
@@ -419,6 +423,39 @@ def test_relative_output_respects_env_dir(tmp_path, monkeypatch):
     assert doc["results"]["success_probability"] == pytest.approx(0.25)
 
 
+def test_output_naming_a_directory_exits_2_before_any_work(tmp_path, monkeypatch, capsys):
+    def no_work(config):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, "run", no_work)
+    for output in (str(tmp_path), ""):
+        assert main(["ghz", "--qubits", "6", "--output", output]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "is a directory" in err and "Traceback" not in err
+    (tmp_path / "taken").mkdir()
+    monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path))
+    with pytest.raises(ConfigError, match="is a directory"):
+        parse_args(["ghz", "--output", "taken"])
+    config = parse_args(["ghz", "--output", "free.json"])
+    assert config.output == tmp_path / "free.json"
+
+
+def test_unwritable_output_exits_2_and_leaves_no_temp_file(tmp_path, monkeypatch, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["budget", "--output", str(blocker / "report.json")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and "Traceback" not in err
+
+    def refuse(src, dst):
+        raise PermissionError(13, "refused", str(dst))
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    assert main(["budget", "--output", str(tmp_path / "report.json")]) == EXIT_CONFIG
+    assert "refused" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
 def test_output_overwrites_previous_artifact(tmp_path):
     target = tmp_path / "a.json"
     assert main(["ghz", "--qubits", "6", "--eta", "0.5",
@@ -437,3 +474,61 @@ def test_seed_from_config_used_for_sampling(tmp_path):
     via_config = run_text(["entangle", "--config", str(cfg)])
     via_flags = run_text(["entangle", "--seed", "77", "--trials", "300"])
     assert json.loads(via_config)["results"] == json.loads(via_flags)["results"]
+
+
+# ---------------------------------------------------------------------------
+# one process, many commands
+
+SRC = Path(cli.__file__).resolve().parents[1]
+
+
+def _child_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def _fresh_process_artifact(argv) -> str:
+    done = subprocess.run([sys.executable, "-m", "blockadesim.cli", *argv],
+                          capture_output=True, text=True, env=_child_env(), check=True)
+    return done.stdout
+
+
+def test_shared_parser_carries_no_state_between_commands(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("eta = 0.5\np_abs = 0.95\nseed = 4\nformat = csv\n")
+    sweep = ["sweep", "ghz", "--set", "qubits=4", "--range", "eta=0.3:0.9:0.3"]
+    pairs = [
+        (sweep[:4] + ["--set", "p_abs=0.95"] + sweep[4:], EXIT_OK, sweep),
+        (["budget", "--set", "temperature_k=0.002"], EXIT_OK, ["budget"]),
+        (["ghz", "--config", str(cfg)], EXIT_OK, ["ghz"]),
+        (["sweep", "ghz", "--range", "eta=1:0:0.1"], EXIT_CONFIG,
+         ["sweep", "ghz", "--range", "eta=0.2:0.4:0.2"]),
+        (["--help"], EXIT_OK, ["entangle", "--eta", "0.3"]),
+    ]
+    for first, first_code, second in pairs:
+        assert main(first) == first_code, first
+        capsys.readouterr()
+        assert main(second) == EXIT_OK, second
+        assert capsys.readouterr().out == _fresh_process_artifact(second), (first, second)
+
+
+def test_exact_commands_run_without_numpy():
+    child = """
+import contextlib, io, sys
+from blockadesim import cli
+
+exact = [["budget"], ["ghz", "--qubits", "4"], ["ghz", "--qubits", "6"],
+         ["entangle", "--eta", "0.3", "--p-abs", "0.989"],
+         ["sweep", "ghz", "--range", "eta=0.2:1.0:0.4"]]
+sampled = [["grow"], ["entangle", "--trials", "1000"]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in exact]
+    exact_numpy = "numpy" in sys.modules
+    codes += [cli.main(argv) for argv in sampled]
+print(codes, exact_numpy, "numpy" in sys.modules)
+"""
+    done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          env=_child_env(), check=True)
+    assert done.stdout.split("\n")[0] == "[0, 0, 0, 0, 0, 0, 0] False True"

@@ -9,7 +9,6 @@ from blockadesim.ensemble import (
     gate_h,
     gate_phase,
     gate_x,
-    readout,
     transfer_to_storage,
 )
 from blockadesim.state_algebra import (
@@ -19,7 +18,7 @@ from blockadesim.state_algebra import (
     OpticalMode,
     tensor,
 )
-from helpers import assert_within_3sigma, random_logical_state, random_state
+from helpers import random_logical_state, random_state
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -185,36 +184,6 @@ def test_transfer_to_storage_on_density():
     assert out.element(("g",), ("s",)).real == pytest.approx(0.5)
     with pytest.raises(TypeError):
         transfer_to_storage([("e",)], 0)
-
-
-def test_readout_deterministic_and_sampled():
-    rng = np.random.default_rng(11)
-    subs = logical_register()
-    bit, post = readout(HybridState.basis(subs, ("s",)), 0, rng)
-    assert bit == 1
-    assert abs(post.amplitude(("s",)) - 1.0) < 1e-12
-
-    st = HybridState(subs, {("g",): math.sqrt(0.3), ("s",): math.sqrt(0.7)})
-    trials = 20_000
-    ones = sum(readout(st, 0, rng)[0] for _ in range(trials))
-    assert_within_3sigma(ones / trials, 0.7, trials, "readout")
-
-
-def test_readout_collapses_entanglement():
-    subs = logical_register(2)
-    bell = HybridState(subs, {("g", "g"): RT2, ("s", "s"): RT2})
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        bit, post = readout(bell, 0, rng)
-        label = "s" if bit else "g"
-        assert abs(post.amplitude((label, label)) - 1.0) < 1e-12
-
-
-def test_readout_rejects_leaked_register():
-    subs = logical_register()
-    st = HybridState(subs, {("g",): RT2, ("r1",): RT2})
-    with pytest.raises(ValueError, match="outside g/s"):
-        readout(st, 0, np.random.default_rng(0))
 
 
 def test_absorb_then_transfer_on_joint_state():

@@ -8,7 +8,6 @@ from blockadesim.optics import (
     DetectorModel,
     HeraldPattern,
     beam_splitter,
-    detect,
     detect_all_probabilities,
     detect_outcomes,
     phase_shift,
@@ -20,7 +19,7 @@ from blockadesim.state_algebra import (
     HybridState,
     OpticalMode,
 )
-from helpers import assert_within_3sigma, random_optical_pair, random_state
+from helpers import random_optical_pair, random_state
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -288,21 +287,6 @@ def test_detect_all_zero_probability_patterns_have_no_post():
         detect_all_probabilities(st, (), DetectorModel.ideal())
     with pytest.raises(TypeError):
         detect_all_probabilities(st.to_density(), (0, 1), DetectorModel.ideal())
-
-
-def test_detect_sampling_frequencies_match_probabilities():
-    subs = (OpticalMode(2, "m"),)
-    st = HybridState(subs, {(0,): math.sqrt(0.2), (1,): math.sqrt(0.5), (2,): math.sqrt(0.3)})
-    det = DetectorModel(efficiency=0.45)
-    expected = {o: p for o, p, _ in detect_outcomes(st, 0, det)}
-    rng = np.random.default_rng(2024)
-    trials = 20_000
-    clicks = 0
-    for _ in range(trials):
-        pattern, post = detect(st, 0, det, rng)
-        clicks += pattern[0]
-        assert post is not None
-    assert_within_3sigma(clicks / trials, expected[True], trials, "detect click rate")
 
 
 def test_detect_on_invalid_mode():

@@ -38,10 +38,10 @@ def test_subsystem_basics():
     assert m.basis_labels() == (0, 1, 2)
     with pytest.raises(ValueError):
         m.label_index(3)
-    with pytest.raises(ValueError):
-        m.label_index("one")
-    with pytest.raises(ValueError):
-        m.label_index(True)
+    assert m.label_index(np.int64(1)) == 1
+    for label in ("one", 1.0, True):
+        with pytest.raises(ValueError):
+            m.label_index(label)
     with pytest.raises(ValueError):
         OpticalMode(0)
 
