@@ -27,8 +27,8 @@ import itertools
 import json
 import math
 import os
+import stat
 import sys
-import tempfile
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Optional
@@ -563,10 +563,29 @@ def _render_rows_text(rows: list) -> str:
 
 
 def _write_atomic(path: Path, text: str):
+    """Write ``text`` to ``path``, leaving what a plain ``open(path, "w")`` leaves.
+
+    A regular file is replaced through a temporary file beside it, so no
+    reader sees half an artifact; the result has the mode the umask gives a
+    new file, or the mode of the file it replaces.  A FIFO or a device is
+    written in place, and a symlink is written through.
+    """
+    path = Path(os.path.realpath(path))
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w") as handle:
+            handle.write(text)
+        return
+    tmp_name = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
+            if mode is not None:
+                os.chmod(tmp_name, stat.S_IMODE(mode))
             handle.write(text)
         os.replace(tmp_name, path)
     except BaseException:

@@ -13,10 +13,12 @@ exception).
 
 Because blocks are only drawn below two clusters, the inventory never holds
 more than two, so it fits in two integer slots (a, b).  The Monte Carlo
-walks each trial through a transition graph over those slot states, one
-uniform per step; the step rule lives only in ``_TransitionGraph.expand``,
-and ``run_trial`` and ``simulate_growth`` both run the one trial kernel
-``_walk_trials``.
+draws one uniform per step and walks each trial through a transition graph
+over those slot states, 8 steps per lookup: a table indexed by (state, byte
+of 8 link bits) gives the state 8 steps on and the counts of those steps.
+Each table entry is built on first use from 8 single steps of
+``_TransitionGraph.expand``, the only copy of the step rule; ``run_trial``
+and ``simulate_growth`` both run the one trial kernel ``_walk_trials``.
 
 ``expected_cost_markov`` evaluates the same rules exactly: the reachable
 state space is tiny and the expected costs solve a linear system over it.
@@ -86,92 +88,149 @@ class ClusterInventory:
 
 # Uniforms a trial draws from its generator at a time, one per step.
 _DRAW_CHUNK = 256
-# Steps of a trial's first walk; each later walk doubles its steps so far.
-_FIRST_WALK = 32
-# Steps buffered between two tallies; bounds the walk's memory.
-_TALLY_STEPS = 4096
-# Code of the stop node that the successors of an unbuilt node point at.
+# Steps one byte of link bits covers: one table lookup walks them all.
+_BYTE = 8
+# Byte steps buffered between two tallies; bounds the walk's memory.
+_TALLY_BYTES = 512
+# Slots of a byte node after its 256 successors: its first table column
+# and its state's code.
+_BASE, _CODE = 256, 257
+_BASE_OF = operator.itemgetter(_BASE)
+# Column base of the stop node that the slots of unbuilt entries point at.
 _STOP = -1
-_CODE = operator.itemgetter(2)
+# Table rows: blocks, link attempts, link successes, qubits measured, qubits
+# discarded and steps taken, then the mask of the draw steps.
+_ROWS = 7
 
 
 class _TransitionGraph:
     """The slot states (a, b) of one (block, target) pair and the steps between them.
 
-    A node is a list ``[next if the link fails, next if it wins, code]``.  A
-    draw step ignores its uniform, so both entries of a draw node are the
-    same; an absorbed node points at itself.  A trial is then the walk
-    ``accumulate(bits, getitem, initial=node)`` over the bits ``u < q`` of its
-    uniforms, which runs in C.  Nodes are built on first visit: a new node
-    points at the shared stop node until a walk reaches it there and
-    ``expand`` applies the step rule.  ``rows[2 * code + bit]`` holds the
-    counter increments of that step: blocks, link attempts, link successes,
-    qubits measured and qubits discarded.  The graph is shared through a
-    cache, so building it and reading its table take a lock; a node's
-    increments are stored before any walk can step through it.
+    Each state has a code.  ``expand`` applies the growth step rule to a
+    state once and stores in ``next[code]`` one (successor, increments) pair
+    per link bit ``u < q``; the increments are blocks, link attempts, link
+    successes, qubits measured and qubits discarded, and a draw step ignores
+    its bit.
+
+    Trials walk the byte nodes over those states: a list of 256 successors,
+    one per byte of 8 link bits (bit k for step k), then ``_BASE``, the
+    node's first column in ``table``, and ``_CODE``, its state.  A trial is
+    the walk ``accumulate(bytes, getitem, initial=node)``, which runs in C.
+    Column ``node[_BASE] + byte`` holds the increments of that byte's steps,
+    the steps taken (fewer than 8 when the trial is absorbed inside the
+    byte) and the mask of its draw steps; an absorbed node points at itself
+    with zero steps.  Entries are built on first visit from 8 single steps:
+    until then a slot points at the shared stop node.  A step cap that cuts
+    a byte ends the walk with a tail entry of fewer steps, which gets a
+    column of its own.  The graph is shared through a cache, so building
+    takes a lock, and an entry's column is stored before any walk can step
+    through it.
     """
 
     def __init__(self, block: int, target: int):
         self.block = block
         self.target = target
-        self.stop = [None, None, _STOP]
-        self.stop[0] = self.stop[1] = self.stop
         self.states = []    # (a, b) per code
         self.absorbed = []  # per code
-        self.rows = []      # per 2 * code + bit
-        self._nodes = {}
-        self._table = None
+        self.next = []      # per code; None until expanded
+        # the counts of at most 8 steps each fit a byte
+        self.table = np.zeros((_ROWS, 4 * 256), np.uint8)
+        self.stop = [None] * 256 + [_STOP, None]
+        self.stop[:256] = [self.stop] * 256
+        self._codes = {}
+        self._bytes = {}    # byte node per code
+        self._tails = {}    # (code, bits, steps) -> (column, code)
+        self._columns = 0
         self._lock = threading.Lock()
-        self.start = self.node(0, 0)
+        self.start = self.byte_node(self.code(0, 0))
 
-    def node(self, a: int, b: int) -> list:
-        found = self._nodes.get((a, b))
+    def code(self, a: int, b: int) -> int:
+        found = self._codes.get((a, b))
         if found is None:
-            found = self._nodes[(a, b)] = [self.stop, self.stop, len(self.states)]
-            done = a >= self.target or b >= self.target
-            if done:
-                found[0] = found[1] = found
+            found = self._codes[(a, b)] = len(self.states)
             self.states.append((a, b))
-            self.absorbed.append(done)
-            self.rows += ((0, 0, 0, 0, 0),) * 2
+            self.absorbed.append(a >= self.target or b >= self.target)
+            self.next.append(None)
         return found
 
-    def expand(self, node: list):
-        """Point an unbuilt node at its successors: the growth step rule."""
-        code = node[2]
+    def expand(self, code: int):
+        """Store the steps out of state ``code``: the growth step rule."""
         a, b = self.states[code]
         if a == 0 or b == 0:
             # fewer than two clusters: buy a block (attempts are tallied apart)
-            rows = ((1, 0, 0, 0, 0),) * 2
-            fail = win = self.node(self.block, b) if a == 0 else self.node(a, self.block)
+            draw = (self.code(self.block, b) if a == 0 else self.code(a, self.block),
+                    (1, 0, 0, 0, 0))
+            self.next[code] = (draw, draw)
         else:
             # link: a win merges the pair; a failure measures one qubit of
             # each and discards a remnant below two qubits
-            win = self.node(a + b, 0)
+            win = (self.code(a + b, 0), (0, 1, 1, 0, 0))
             a, b = a - 1, b - 1
-            fail = self.node(a if a >= 2 else 0, b if b >= 2 else 0)
             dropped = (a if a < 2 else 0) + (b if b < 2 else 0)
-            rows = ((0, 1, 0, 2, dropped), (0, 1, 1, 0, 0))
-        self.rows[2 * code:2 * code + 2] = rows
-        self._table = None
-        node[0], node[1] = fail, win
+            fail = (self.code(a if a >= 2 else 0, b if b >= 2 else 0), (0, 1, 0, 2, dropped))
+            self.next[code] = (fail, win)
 
-    def walk(self, node: list, bits: list) -> list:
-        """The nodes from ``node`` on, one per bit, building those reached."""
-        path = list(accumulate(bits, operator.getitem, initial=node))
+    def byte_node(self, code: int) -> list:
+        """The byte node of state ``code``, with 256 table columns of its own."""
+        found = self._bytes.get(code)
+        if found is None:
+            found = self._bytes[code] = [self.stop] * 256 + [self._claim(256), code]
+            if self.absorbed[code]:
+                found[:256] = [found] * 256
+        return found
+
+    def _claim(self, n: int) -> int:
+        """The first of ``n`` new zero columns of the table."""
+        first = self._columns
+        self._columns += n
+        if self._columns > self.table.shape[1]:
+            grown = np.zeros((_ROWS, 2 * self._columns), np.uint8)
+            grown[:, :first] = self.table[:, :first]
+            self.table = grown
+        return first
+
+    def _steps(self, code: int, bits: int, n: int) -> tuple:
+        """(state, table column) after ``n`` single steps from ``code`` on ``bits``."""
+        column = [0] * _ROWS
+        for k in range(n):
+            if self.absorbed[code]:
+                break
+            if self.next[code] is None:
+                self.expand(code)
+            code, increments = self.next[code][bits >> k & 1]
+            column[:5] = map(operator.add, column, increments)
+            column[5] += 1
+            column[6] |= increments[0] << k
+        return code, column
+
+    def _link(self, node: list, byte: int):
+        """Build the entry of ``byte`` at ``node`` and point its slot at the successor."""
+        with self._lock:
+            if node[byte] is self.stop:
+                code, column = self._steps(node[_CODE], byte, _BYTE)
+                self.table[:, node[_BASE] + byte] = column
+                node[byte] = self.byte_node(code)
+
+    def walk(self, node: list, data: bytes) -> list:
+        """The byte nodes from ``node`` on, one per byte of ``data``, building those reached."""
+        path = list(accumulate(data, operator.getitem, initial=node))
         while path[-1] is self.stop:
-            i = list(map(_CODE, path)).index(_STOP) - 1
-            with self._lock:
-                self.expand(path[i])
-            path[i:] = accumulate(bits[i:], operator.getitem, initial=path[i])
+            i = list(map(_BASE_OF, path)).index(_STOP) - 1
+            self._link(path[i], data[i])
+            path[i:] = accumulate(data[i:], operator.getitem, initial=path[i])
         return path
 
-    def table(self) -> np.ndarray:
-        """The increments as an array with one column per 2 * code + bit."""
+    def tail(self, node: list, bits: int, n: int) -> tuple:
+        """(table column, state) of the first ``n`` < 8 steps of ``bits`` from ``node``."""
+        key = (node[_CODE], bits, n)
         with self._lock:
-            if self._table is None:
-                self._table = np.array(self.rows, dtype=np.int64).T.copy()
-            return self._table
+            found = self._tails.get(key)
+            if found is None:
+                code, column = self._steps(node[_CODE], bits, n)
+                first = self._claim(1)
+                self.table[:, first] = column
+                found = self._tails[key] = (first, code)
+            return found
 
 
 @functools.lru_cache(maxsize=8)
@@ -194,88 +253,87 @@ def _extra_attempts(u: np.ndarray, log_miss: float) -> np.ndarray:
     return whole
 
 
-def _tally(graph: _TransitionGraph, log_miss: float, parts: list, owners: list, starts: list):
-    """Add the counters of buffered walk segments to the inventories they belong to.
+def _tally(graph: _TransitionGraph, log_miss: float, ids: list, uniforms: list,
+           owners: list, starts: list):
+    """Add the counters of buffered byte steps to the inventories they belong to.
 
-    ``parts`` holds (codes, bits, uniforms) of each segment's steps; the
-    steps of ``owners[i]`` begin at buffered step ``starts[i]``.
+    ``ids`` holds the table column of each byte step and ``uniforms`` its 8
+    uniforms; the byte steps of ``owners[i]`` begin at ``starts[i]``.
     """
-    codes = np.concatenate([part[0] for part in parts])
-    bits = np.concatenate([part[1] for part in parts])
-    increments = graph.table().take(2 * codes + bits, axis=1)
-    counts = np.add.reduceat(increments, starts, axis=1).T.tolist()
-    extra = np.zeros(len(codes))
+    entries = graph.table.take(np.fromiter(ids, np.intp, len(ids)), axis=1)
+    counts = np.add.reduceat(entries[:6], starts, axis=1, dtype=np.int64).T.tolist()
+    extra = np.zeros(_BYTE * len(ids))
     if log_miss:
-        drawn = increments[0] > 0  # the steps that bought a block
-        extra[drawn] = _extra_attempts(np.concatenate([part[2] for part in parts])[drawn],
-                                       log_miss)
+        drawn = np.flatnonzero(np.unpackbits(entries[6], bitorder="little"))
+        extra[drawn] = _extra_attempts(np.concatenate(uniforms).take(drawn), log_miss)
+    starts = [_BYTE * start for start in starts]
     if extra.sum() < 2.0**53:  # float sums of the integer floors stay exact
         more = np.add.reduceat(extra, starts).astype(np.int64).tolist()
     else:
         more = [sum(map(int, piece.tolist())) for piece in np.split(extra, starts[1:])]
-    for inv, (blocks, links, wins, measured, dropped), extra_gens in zip(owners, counts, more):
+    for inv, (blocks, links, wins, measured, dropped, steps), extra_gens in zip(
+            owners, counts, more):
         inv.consumed_ghz_blocks += blocks
         inv.generation_attempts += blocks + extra_gens
         inv.link_attempts += links
         inv.link_successes += wins
         inv.qubits_measured += measured
         inv.qubits_discarded += dropped
+        inv.elapsed_steps += steps
 
 
 def _walk_trials(policy: GrowthPolicy, p_block: float, eta_prime: float, rngs):
     """Run one growth trial per generator; yield (succeeded, inventory) in order.
 
     Each trial draws uniforms from its generator in chunks of ``_DRAW_CHUNK``,
-    one per step, and walks its cached transition graph through them, each
-    walk as long as the trial so far (at least ``_FIRST_WALK`` steps); the
-    absorption step is the first visit of the absorbed node a walk ends
-    on.  The step codes, bits and uniforms of consecutive trials are
-    buffered and tallied together every ``_TALLY_STEPS`` steps.  Block
-    generation attempts are geometric with the chain acceptance
-    probability, drawn by inversion from the uniform of each draw step.
+    one per step, packs their link bits ``u < q`` into bytes and walks its
+    cached transition graph one byte, 8 steps, per lookup; where the step
+    cap cuts a byte, the walk ends with a tail entry of the steps left.  A
+    trial ends on an absorbed node or at the cap.  The table columns and
+    uniforms of consecutive trials are buffered and tallied together every
+    ``_TALLY_BYTES`` byte steps.  Block generation attempts are geometric
+    with the chain acceptance probability, drawn by inversion from the
+    uniform of each draw step.
     """
     q = link_success_probability(eta_prime)
-    cap = policy.step_cap
     graph = _graph(policy.block_size, policy.target_size)
     log_miss = math.log1p(-p_block) if p_block < 1.0 else 0.0
-    parts, owners, starts, done, buffered = [], [], [], [], 0
+    ids, uniforms, owners, starts, done = [], [], [], [], []
     for rng in rngs:
         inv = ClusterInventory()
-        node, steps = graph.start, 0
-        u, pos = np.empty(0), 0
+        node, left = graph.start, policy.step_cap
         while True:
-            if pos == len(u):
-                u = rng.random(_DRAW_CHUNK)[:cap - steps]
-                bits = u < q
-                pos = 0
-            # walk until the trial's step count doubles: a short trial walks
-            # few steps past its end, a long one walks whole chunks
-            end = pos + max(steps, _FIRST_WALK)
-            path = graph.walk(node, bits[pos:end].tolist())
-            codes = np.fromiter(map(_CODE, path), np.intp, len(path))
-            last = path[-1][2]
-            absorbed = graph.absorbed[last]
-            n = int((codes == last).argmax()) if absorbed else len(path) - 1
-            parts.append((codes[:n], bits[pos:pos + n], u[pos:pos + n]))
-            if not owners or owners[-1] is not inv:
-                owners.append(inv)
-                starts.append(buffered)
-            pos += n
-            buffered += n
-            steps += n
-            node = path[n]
-            if buffered >= _TALLY_STEPS:
-                _tally(graph, log_miss, parts, owners, starts)
-                parts, owners, starts, buffered = [], [], [], 0
+            if len(ids) >= _TALLY_BYTES:
+                _tally(graph, log_miss, ids, uniforms, owners, starts)
+                ids, uniforms, owners, starts = [], [], [], []
                 yield from done
                 done = []
-            if absorbed or steps == cap:
+            if not owners or owners[-1] is not inv:
+                owners.append(inv)
+                starts.append(len(ids))
+            u = rng.random(_DRAW_CHUNK)
+            data = np.packbits(u < q, bitorder="little").tobytes()
+            walked = data[:left // _BYTE]  # all of it unless the cap cuts the chunk
+            path = graph.walk(node, walked)
+            ids += map(operator.add, map(_BASE_OF, path), walked)
+            node = path[-1]
+            code = node[_CODE]
+            if left < _DRAW_CHUNK:
+                # the cap falls inside this chunk: the steps after its last
+                # whole byte take a tail entry
+                part = left % _BYTE
+                if part:
+                    column, code = graph.tail(node, data[len(walked)] & (1 << part) - 1, part)
+                    ids.append(column)
+                u = u[:_BYTE * (len(walked) + (part > 0))]
+            uniforms.append(u)
+            left -= _DRAW_CHUNK
+            if graph.absorbed[code] or left <= 0:
                 break
-        inv.elapsed_steps = steps
-        inv.clusters = [size for size in graph.states[node[2]] if size]
-        done.append((absorbed, inv))
-    if parts:
-        _tally(graph, log_miss, parts, owners, starts)
+        inv.clusters = [size for size in graph.states[code] if size]
+        done.append((graph.absorbed[code], inv))
+    if ids:
+        _tally(graph, log_miss, ids, uniforms, owners, starts)
     yield from done
 
 
@@ -285,11 +343,11 @@ def run_trial(policy: GrowthPolicy, p_block: float, eta_prime: float,
 
     The draw rule (generate a block only below two clusters) keeps the
     inventory at two clusters or fewer, so the stock fits in two integer
-    slots and a trial is a walk over the slot states.  The step rule lives
-    only in ``_TransitionGraph.expand``; this is the trial kernel
-    ``simulate_growth`` uses, run on one generator.  One uniform is consumed
-    per step from chunks of ``_DRAW_CHUNK``, so results are deterministic
-    for a given generator state.
+    slots and a trial is a walk over the slot states, 8 steps per table
+    lookup.  The step rule lives only in ``_TransitionGraph.expand``; this
+    is the trial kernel ``simulate_growth`` uses, run on one generator.  One
+    uniform is consumed per step from chunks of ``_DRAW_CHUNK``, so results
+    are deterministic for a given generator state.
     """
     (result,) = _walk_trials(policy, p_block, eta_prime, [rng])
     return result

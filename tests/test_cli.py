@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -454,6 +456,53 @@ def test_unwritable_output_exits_2_and_leaves_no_temp_file(tmp_path, monkeypatch
     assert main(["budget", "--output", str(tmp_path / "report.json")]) == EXIT_CONFIG
     assert "refused" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+def test_output_naming_a_fifo_is_written_in_place(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+
+    def read():
+        with open(fifo) as handle:
+            received.append(handle.read())
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    assert main(["budget", "--output", str(fifo)]) == EXIT_OK
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert received == [run_text(["budget"])]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe"]
+
+
+def test_output_file_mode_follows_the_umask(tmp_path):
+    old = os.umask(0o022)
+    try:
+        fresh = tmp_path / "fresh.json"
+        assert main(["budget", "--output", str(fresh)]) == EXIT_OK
+        assert stat.S_IMODE(os.stat(fresh).st_mode) == 0o644
+        os.umask(0o027)
+        assert main(["budget", "--output", str(tmp_path / "group.json")]) == EXIT_OK
+        assert stat.S_IMODE(os.stat(tmp_path / "group.json").st_mode) == 0o640
+        # an artifact written over an existing file keeps that file's mode
+        os.chmod(fresh, 0o600)
+        assert main(["ghz", "--output", str(fresh)]) == EXIT_OK
+        assert stat.S_IMODE(os.stat(fresh).st_mode) == 0o600
+        assert json.loads(fresh.read_text())["command"] == "ghz"
+    finally:
+        os.umask(old)
+
+
+def test_output_through_a_symlink_writes_its_target(tmp_path):
+    target = tmp_path / "real.json"
+    target.write_text("old")
+    (tmp_path / "link.json").symlink_to("real.json")
+    assert main(["budget", "--output", str(tmp_path / "link.json")]) == EXIT_OK
+    assert (tmp_path / "link.json").is_symlink()
+    assert target.read_text() == run_text(["budget"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "real.json"]
 
 
 def test_output_overwrites_previous_artifact(tmp_path):

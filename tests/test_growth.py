@@ -194,6 +194,66 @@ def test_run_trial_matches_reference_trial():
     assert cap_hits > 100
 
 
+@pytest.mark.parametrize("rest", range(growth._BYTE))
+def test_run_trial_matches_reference_trial_wherever_the_cap_cuts_a_byte(rest):
+    # step_cap = 8k + rest: the cap falls after whole bytes plus `rest` steps,
+    # in the first chunk, at the start of the second and inside it
+    for k in (1, 32, 33, 40):
+        cap = growth._BYTE * k + rest
+        for block, target in ((4, 5), (4, 12), (4, 20), (6, 14)):
+            for p_block, eta_prime, seed in ((1.0, 1.0, 0), (0.28125, 0.5, 1), (0.05, 1.0, 2)):
+                policy = GrowthPolicy(block, target, cap)
+                got_rng = np.random.default_rng([seed, target, cap])
+                want_rng = np.random.default_rng([seed, target, cap])
+                got = run_trial(policy, p_block, eta_prime, got_rng)
+                want = reference_trial(policy, p_block, eta_prime, want_rng)
+                assert got == want, (block, target, cap, p_block, eta_prime)
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_every_built_entry_is_eight_single_steps():
+    growth._graph.cache_clear()
+    for policy, eta_prime in ((GrowthPolicy(4, 12, 1_000_000), 0.5),
+                              (GrowthPolicy(4, 12, 301), 1.0)):
+        simulate_growth(policy, 0.8, eta_prime, seed=6, trials=200)
+    graph = growth._graph(4, 12)
+    growth._graph.cache_clear()
+
+    def single_steps(code, bits, n):
+        want = [0] * 7  # blocks, links, wins, measured, dropped, steps, draw mask
+        for k in range(n):
+            if graph.absorbed[code]:
+                break
+            if graph.next[code] is None:
+                graph.expand(code)
+            code, increments = graph.next[code][bits >> k & 1]
+            want[:5] = [x + y for x, y in zip(want, increments)]
+            want[5] += 1
+            want[6] |= (increments[0] > 0) << k
+        return code, want
+
+    nodes = list(graph._bytes.values())
+    built = 0
+    for node in nodes:
+        code = node[growth._CODE]
+        for byte in range(256):
+            successor = node[byte]
+            if successor is graph.stop:
+                continue
+            built += 1
+            got = graph.table[:, node[growth._BASE] + byte].tolist()
+            end, want = single_steps(code, byte, growth._BYTE)
+            assert got == want, (graph.states[code], byte)
+            # an absorbed node takes no steps and points at itself
+            assert successor is graph._bytes[end]
+    assert built > 1000 and any(graph.absorbed[n[growth._CODE]] for n in nodes)
+    # the tail entries where a cap cut a byte
+    assert graph._tails
+    for (code, bits, n), (column, end) in graph._tails.items():
+        assert 0 < n < growth._BYTE and bits < 1 << n
+        assert (end, graph.table[:, column].tolist()) == single_steps(code, bits, n)
+
+
 @pytest.mark.parametrize("policy, eta, eta_prime, trials", [
     (GrowthPolicy(4, 4, 1), 0.9, 1.0, 50),
     (GrowthPolicy(4, 12, 1_000_000), 0.75, 0.5, 60),
@@ -277,16 +337,20 @@ def test_walk_buffers_a_bounded_number_of_steps(monkeypatch):
     tallied = []
     tally = growth._tally
 
-    def recording(graph, log_miss, parts, owners, starts):
-        tallied.append(sum(len(part[0]) for part in parts))
-        tally(graph, log_miss, parts, owners, starts)
+    def recording(graph, log_miss, ids, uniforms, owners, starts):
+        tallied.append(len(ids))
+        assert sum(map(len, uniforms)) == growth._BYTE * len(ids)
+        tally(graph, log_miss, ids, uniforms, owners, starts)
 
     monkeypatch.setattr(growth, "_tally", recording)
     policy = GrowthPolicy(4, 20, 50_000)
     ok, inv = run_trial(policy, 0.3, 0.01, np.random.default_rng(8))
     assert not ok and inv.elapsed_steps == 50_000
-    assert sum(tallied) == 50_000
-    assert max(tallied) < growth._TALLY_STEPS + growth._DRAW_CHUNK
+    # 50,000 steps are 6,250 byte steps, tallied in bounded batches
+    assert sum(tallied) == 50_000 // growth._BYTE
+    assert len(tallied) > 10
+    chunk = growth._DRAW_CHUNK // growth._BYTE
+    assert max(tallied) < growth._TALLY_BYTES + chunk
 
 
 # ---------------------------------------------------------------------------
