@@ -14,13 +14,11 @@ from .state_algebra import (
     HybridState,
     OpticalMode,
     fidelity,
-    measure_projective,
     partial_trace,
     tensor,
 )
 from .optics import (
     DetectorModel,
-    HeraldPattern,
     beam_splitter,
     detect_all_probabilities,
     detect_outcomes,
@@ -69,7 +67,6 @@ __all__ = [
     "EntangleOutcome",
     "GhzOutcome",
     "GrowthPolicy",
-    "HeraldPattern",
     "HeraldPolicy",
     "HybridState",
     "OpticalMode",
@@ -88,7 +85,6 @@ __all__ = [
     "ghz4_exact",
     "ghz_success_probability",
     "link_success_probability",
-    "measure_projective",
     "partial_trace",
     "phase_shift",
     "preset",

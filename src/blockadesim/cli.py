@@ -375,7 +375,7 @@ def _handle_ghz(params: dict, seed: int) -> tuple:
             "success_probability": outcome.success_probability,
             "accepted": [
                 {
-                    "pattern": repr(b.pattern),
+                    "pattern": "<" + ",".join("x" if c else "." for c in b.pattern) + ">",
                     "probability": b.probability,
                     "fidelity": b.fidelity,
                 }
@@ -611,6 +611,12 @@ def main(argv=None) -> int:
         return EXIT_CAP
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except ArithmeticError as exc:
+        # finite inputs whose arithmetic leaves the float range: a power
+        # that overflows, a divisor that underflows to 0
+        print(f"error: inputs out of floating-point range ({type(exc).__name__}: {exc})",
+              file=sys.stderr)
         return EXIT_VALIDATION
     if config.output is None:
         sys.stdout.write(text)

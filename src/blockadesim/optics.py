@@ -15,14 +15,16 @@ indistinguishable photons entering on both ports bunch exactly:
 that need a different relative output phase compose a splitter with an
 explicit phase shift instead of switching conventions.
 
-Detection: ``DetectorModel`` folds quantum efficiency and a Poissonian dark
-count within the gate window into a POVM on the occupation number.  By
-default detectors are threshold (click / no click); ``number_resolving=True``
-switches to counting statistics.  The POVM is diagonal in the occupations,
-so a pure state splits into pure branches, one per occupation tuple of the
-detected modes (``group_occupations``, which depends on the state only), and
-a joint outcome is a weighted mixture of those branches (the weights depend
-on the detector only).  Branches stay pure; ``detect_all_probabilities``
+Detection: detectors are threshold detectors, the regular photodetectors the
+protocol needs.  ``DetectorModel`` folds quantum efficiency and a Poissonian
+dark count within the gate window into a click / no-click POVM on the
+occupation number.  One detector's outcome is ``False`` (no click) or
+``True`` (click); a joint outcome is a tuple of them, one per detected mode
+in order.  The POVM is diagonal in the occupations, so a pure state splits
+into pure branches, one per occupation tuple of the detected modes
+(``group_occupations``, which depends on the state only), and a joint
+outcome is a weighted mixture of those branches (the weights depend on the
+detector only).  Branches stay pure; ``detect_all_probabilities``
 mixes them into density operators only for its result, with the measured
 modes left in vacuum.  ``detect_outcomes`` conditions one mode at a time on
 density operators and serves as the independent oracle of the joint table.
@@ -47,7 +49,7 @@ from .state_algebra import (
 
 @dataclass(frozen=True)
 class DetectorModel:
-    """Photodetector: efficiency, dark counts over one gate window, resolving flag.
+    """Threshold photodetector: efficiency and dark counts over one gate window.
 
     ``dark_count_rate_hz`` and ``gate_time_s`` enter only through the
     per-window dark click probability 1 - exp(-rate * time).
@@ -56,7 +58,6 @@ class DetectorModel:
     efficiency: float = 1.0
     dark_count_rate_hz: float = 0.0
     gate_time_s: float = 5e-6
-    number_resolving: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.efficiency <= 1.0:
@@ -73,39 +74,6 @@ class DetectorModel:
     @classmethod
     def ideal(cls) -> "DetectorModel":
         return cls(efficiency=1.0, dark_count_rate_hz=0.0)
-
-
-@dataclass(frozen=True)
-class HeraldPattern:
-    """Joint detector record: booleans for threshold detectors, counts otherwise."""
-
-    clicks: tuple
-
-    def __post_init__(self):
-        clicks = tuple(self.clicks)
-        object.__setattr__(self, "clicks", clicks)
-        if not clicks:
-            raise ValueError("empty herald pattern")
-        kinds = {type(c) for c in clicks}
-        if kinds == {bool}:
-            return
-        if kinds <= {int} and all(c >= 0 for c in clicks):
-            return
-        raise ValueError(f"pattern entries must be all bool or all counts >= 0: {clicks!r}")
-
-    def __len__(self) -> int:
-        return len(self.clicks)
-
-    def __getitem__(self, i):
-        return self.clicks[i]
-
-    @property
-    def n_clicked(self) -> int:
-        return sum(1 for c in self.clicks if c)
-
-    def __repr__(self) -> str:
-        body = ",".join("x" if c is True else "." if c is False else str(c) for c in self.clicks)
-        return f"<{body}>"
 
 
 def _require_mode(state, index: int) -> OpticalMode:
@@ -189,53 +157,33 @@ def _click_probability(det: DetectorModel, n: int) -> float:
     return 1.0 - (1.0 - det.dark_click_probability) * (1.0 - det.efficiency) ** n
 
 
-def _count_distribution(det: DetectorModel, n: int) -> list:
-    """P(counts = k | n photons): Binomial(n, eta) plus at most one dark count."""
-    eta, pd = det.efficiency, det.dark_click_probability
-    binom = [math.comb(n, k) * eta**k * (1.0 - eta) ** (n - k) for k in range(n + 1)]
-    out = [0.0] * (n + 2)
-    for k, b in enumerate(binom):
-        out[k] += b * (1.0 - pd)
-        out[k + 1] += b * pd
-    return out
-
-
 def _outcome_weights(det: DetectorModel, n: int) -> Mapping:
-    """POVM weights on |n><n| keyed by the detector outcome."""
-    if det.number_resolving:
-        return dict(enumerate(_count_distribution(det, n)))
+    """POVM weights on |n><n| keyed by the click outcome."""
     p = _click_probability(det, n)
     return {False: 1.0 - p, True: p}
-
-
-def _possible_outcomes(det: DetectorModel, cutoff: int) -> tuple:
-    if det.number_resolving:
-        return tuple(range(cutoff + 2))
-    return (False, True)
 
 
 def detect_outcomes(state, mode: int, det: DetectorModel) -> list:
     """All single-detector outcomes on one mode.
 
-    Returns ``[(outcome, probability, post_state_or_None), ...]`` in a fixed
-    order (no-click/click, or ascending counts).  Post states are normalized
+    Returns ``[(click, probability, post_state_or_None), ...]`` in the order
+    no click (``False``), click (``True``).  Post states are normalized
     density operators with the measured mode reset to vacuum; outcomes of
     probability zero carry ``None``.  Probabilities sum to the input trace.
     """
     rho = as_density(state)
     sub = _require_mode(rho, mode)
-    outcomes = _possible_outcomes(det, sub.cutoff)
     weights = {n: _outcome_weights(det, n) for n in range(sub.cutoff + 1)}
 
     results = []
-    for outcome in outcomes:
+    for outcome in (False, True):
         prob = 0.0
         elems = {}
         for (ket, bra), v in rho.elements.items():
             n = ket[mode]
             if bra[mode] != n:
                 continue  # occupation coherence dies with the measurement
-            w = weights[n].get(outcome, 0.0)
+            w = weights[n][outcome]
             if w == 0.0:
                 continue
             new_ket = ket[:mode] + (0,) + ket[mode + 1:]
@@ -301,21 +249,21 @@ def group_occupations(state: HybridState, modes: Sequence) -> OccupationGroups:
 def _pattern_weights(det: DetectorModel, cutoffs: Sequence, occupations: Sequence) -> list:
     """Detector-only half of joint detection.
 
-    Returns ``[(HeraldPattern, (weight per occupation tuple, ...)), ...]``
-    over the complete outcome set of detectors on modes with ``cutoffs``.
+    Returns ``[(clicks, (weight per occupation tuple, ...)), ...]`` over
+    every tuple of clicks of detectors on modes with ``cutoffs``.
     """
     per_mode = [{n: _outcome_weights(det, n) for n in range(c + 1)} for c in cutoffs]
     out = []
-    for pattern in itertools.product(*(_possible_outcomes(det, c) for c in cutoffs)):
+    for pattern in itertools.product((False, True), repeat=len(cutoffs)):
         weights = []
         for occ in occupations:
             w = 1.0
             for i, n in enumerate(occ):
-                w *= per_mode[i][n].get(pattern[i], 0.0)
+                w *= per_mode[i][n][pattern[i]]
                 if w == 0.0:
                     break
             weights.append(w)
-        out.append((HeraldPattern(pattern), tuple(weights)))
+        out.append((pattern, tuple(weights)))
     return out
 
 
@@ -324,11 +272,11 @@ def detect_all_probabilities(state, modes: Sequence, det: DetectorModel) -> dict
 
     ``state`` is a pure state, or its ``group_occupations(state, modes)``
     (possibly with the branches mapped), which lets one grouping serve many
-    detector models.  Returns ``{HeraldPattern: (probability,
-    post_state_or_None)}`` covering the complete outcome set; probabilities
-    sum to the input norm.  Post states are normalized density operators over
-    the branches' register, every measured mode reset to vacuum.  Pattern
-    entries follow the order of ``modes``.
+    detector models.  Returns ``{clicks: (probability, post_state_or_None)}``
+    over every tuple of clicks, one bool per mode in the order of ``modes``;
+    probabilities sum to the input norm.  Post states are normalized density
+    operators over the branches' register, every measured mode reset to
+    vacuum.
     """
     if isinstance(state, OccupationGroups):
         groups = state

@@ -55,7 +55,6 @@ from typing import Optional
 from .ensemble import AbsorptionModel, blockade_absorb, gate_phase, gate_x, transfer_to_storage
 from .optics import (
     DetectorModel,
-    HeraldPattern,
     beam_splitter,
     detect_all_probabilities,
     detect_outcomes,
@@ -213,7 +212,7 @@ def entangle_pair_exact(absorption: AbsorptionModel = AbsorptionModel(),
     table = detect_all_probabilities(groups, modes, detector)
 
     def joint(first: bool, second: bool) -> tuple:
-        return table[HeraldPattern((first, second))]
+        return table[(first, second)]
 
     branches = {}
     for which, pick in ((UP, lambda c1, c2: c1), (DOWN, lambda c1, c2: c2)):
@@ -349,7 +348,7 @@ GHZ_CORRECTIONS = {
     (False, False, True, True): (("x", 1), ("x", 3)),
 }
 
-ACCEPTED_GHZ_PATTERNS = frozenset(HeraldPattern(p) for p in GHZ_CORRECTIONS)
+ACCEPTED_GHZ_PATTERNS = frozenset(GHZ_CORRECTIONS)
 
 # Modes watched by D1..D4: port1, port2, port4, port3 (see ghz4_exact).
 GHZ_DETECTED_MODES = (4, 5, 7, 6)
@@ -398,7 +397,7 @@ def apply_corrections(rho, corrections):
 
 @dataclass(frozen=True)
 class GhzBranch:
-    pattern: HeraldPattern
+    pattern: tuple  # one click bool per detector, (D1, D2, D3, D4)
     probability: float
     accepted: bool
     conditional_state: Optional[DensityOperator]  # storage basis, (A, B, C, D)
@@ -419,8 +418,7 @@ class GhzOutcome:
         return frozenset(b.pattern for b in self.accepted)
 
     def branch(self, pattern) -> GhzBranch:
-        if not isinstance(pattern, HeraldPattern):
-            pattern = HeraldPattern(tuple(pattern))
+        pattern = tuple(pattern)
         for b in self.accepted + self.rejected:
             if b.pattern == pattern:
                 return b
@@ -444,11 +442,11 @@ def ghz4_exact(absorption: AbsorptionModel = AbsorptionModel(),
     rejected = []
     success = 0.0
     target = canonical_ghz()
-    for pattern, (prob, conditional) in sorted(table.items(), key=lambda kv: kv[0].clicks):
+    for pattern, (prob, conditional) in sorted(table.items()):
         is_accepted = pattern in ACCEPTED_GHZ_PATTERNS
         corrected = None
         fid = None
-        corrections = GHZ_CORRECTIONS.get(tuple(pattern.clicks), ()) if is_accepted else ()
+        corrections = GHZ_CORRECTIONS.get(pattern, ())
         if conditional is not None:
             corrected = apply_corrections(conditional, corrections)
             fid = fidelity(corrected, target)

@@ -395,30 +395,6 @@ def as_density(state) -> DensityOperator:
     raise TypeError(f"expected HybridState or DensityOperator, got {type(state).__name__}")
 
 
-def measure_projective(state: HybridState, subsystem: int, labels) -> tuple:
-    """Project one subsystem onto a label subset.
-
-    Returns ``(probability, post_state)`` with the post state renormalized,
-    or ``(0.0, None)`` when the projected component vanishes.
-    """
-    subs = state.subsystems
-    if not 0 <= subsystem < len(subs):
-        raise ValueError(f"subsystem index {subsystem} out of range")
-    wanted = {subs[subsystem].canonical(lab) for lab in labels}
-    if not wanted:
-        raise ValueError("projector needs at least one label")
-    kept = {k: a for k, a in state.amplitudes.items() if k[subsystem] in wanted}
-    prob = float(sum((a * a.conjugate()).real for a in kept.values()))
-    total = state.norm_squared()
-    if total <= ATOL_STATE:
-        raise ValueError("cannot measure a zero state")
-    prob /= total
-    if prob <= ATOL_STATE:
-        return 0.0, None
-    post = HybridState._trusted(subs, kept).normalized()
-    return prob, post
-
-
 def fidelity(rho, psi: HybridState) -> float:
     """Pure-target fidelity <psi|rho|psi>; for a pure state phi it is |<psi|phi>|^2."""
     value = as_density(rho).expectation(psi)

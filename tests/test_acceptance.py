@@ -246,7 +246,6 @@ def test_criterion_8_property_suite(capsys):
                 efficiency=float(rng.uniform(0.0, 1.0)),
                 dark_count_rate_hz=float(rng.uniform(0.0, 5000.0)),
                 gate_time_s=5e-6,
-                number_resolving=bool(rng.integers(2)),
             )
             table = detect_all_probabilities(st, (1,), det)
             total = sum(p for p, _ in table.values())

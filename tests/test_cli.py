@@ -211,6 +211,18 @@ def test_budget_with_an_underflowing_blockade_shift_exits_3(capsys):
     assert "underflows" in capsys.readouterr().err
 
 
+def test_budget_inputs_leaving_the_float_range_exit_3(tmp_path, capsys):
+    # pi w0^2 underflows to a zero divisor; lambda^2 and g0^2 overflow
+    out = tmp_path / "artifact"
+    for setting in ("waist_m=1e-200", "wavelength_m=1e200", "coupling_mhz=1e200"):
+        for fmt in ("json", "csv", "text"):
+            argv = ["budget", "--set", setting, "--format", fmt, "--output", str(out)]
+            assert main(argv) == EXIT_VALIDATION, argv
+            assert not out.exists()
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_ghz_circuit_enumeration_at_four_qubits():
     doc = json.loads(run_text(["ghz", "--eta", "0.7"]))
     circuit = doc["results"]["circuit"]

@@ -6,7 +6,6 @@ import pytest
 
 from blockadesim.optics import (
     DetectorModel,
-    HeraldPattern,
     beam_splitter,
     detect_all_probabilities,
     detect_outcomes,
@@ -147,20 +146,6 @@ def test_detector_model_validation():
     assert DetectorModel.ideal().dark_click_probability == 0.0
 
 
-def test_herald_pattern_validation():
-    p = HeraldPattern((True, False))
-    assert p.n_clicked == 1
-    assert p[0] is True
-    assert len(p) == 2
-    HeraldPattern((0, 2, 1))
-    with pytest.raises(ValueError):
-        HeraldPattern(())
-    with pytest.raises(ValueError):
-        HeraldPattern((True, 1))
-    with pytest.raises(ValueError):
-        HeraldPattern((-1, 0))
-
-
 def test_detect_outcomes_two_photon_loss_frozen():
     # two photons, eta = 0.3: click probability 1 - 0.7^2 = 0.51
     subs = (OpticalMode(2, "m"),)
@@ -213,29 +198,6 @@ def test_detection_destroys_occupation_coherence():
     assert post.element(("s", 0), ("s", 0)).real == pytest.approx(0.3 / 0.8)
 
 
-def test_number_resolving_distribution_frozen():
-    # one photon, eta and dark pd, by hand:
-    # P(0) = (1-eta)(1-pd); P(1) = eta(1-pd) + (1-eta)pd; P(2) = eta pd
-    subs = (OpticalMode(2, "m"),)
-    st = HybridState.basis(subs, (1,))
-    det = DetectorModel(efficiency=0.3, dark_count_rate_hz=100.0, gate_time_s=5e-6,
-                        number_resolving=True)
-    pd = det.dark_click_probability
-    outcomes = {o: p for o, p, _ in detect_outcomes(st, 0, det)}
-    assert outcomes[0] == pytest.approx(0.7 * (1 - pd), abs=1e-12)
-    assert outcomes[1] == pytest.approx(0.3 * (1 - pd) + 0.7 * pd, abs=1e-12)
-    assert outcomes[2] == pytest.approx(0.3 * pd, abs=1e-12)
-    assert abs(sum(outcomes.values()) - 1.0) < 1e-12
-
-
-def test_number_resolving_perfect_detector_counts_exactly():
-    subs = (OpticalMode(2, "m"),)
-    det = DetectorModel(efficiency=1.0, number_resolving=True)
-    for n in range(3):
-        outcomes = {o: p for o, p, _ in detect_outcomes(HybridState.basis(subs, (n,)), 0, det)}
-        assert outcomes[n] == pytest.approx(1.0)
-
-
 def test_detect_all_matches_sequential_composition():
     # independent factorization oracle: P(o1, o2) = P(o1) P(o2 | o1), and the
     # joint post state is the post state of the second conditioning
@@ -243,13 +205,13 @@ def test_detect_all_matches_sequential_composition():
     subs = (EnsembleQudit("A"), OpticalMode(2, "m1"), OpticalMode(2, "m2"))
     detectors = (
         DetectorModel(efficiency=0.55, dark_count_rate_hz=30.0, gate_time_s=5e-6),
-        DetectorModel(efficiency=0.55, dark_count_rate_hz=3e4, gate_time_s=5e-6,
-                      number_resolving=True),
+        DetectorModel(efficiency=0.55, dark_count_rate_hz=3e4, gate_time_s=5e-6),
     )
     for det in detectors:
         for _ in range(25):
             st = random_state(rng, subs)
             table = detect_all_probabilities(st, (1, 2), det)
+            assert set(table) == set(itertools.product((False, True), repeat=2))
             assert abs(sum(p for p, _ in table.values()) - 1.0) < 1e-10
             sequential = {}
             for o1, p1, post1 in detect_outcomes(st, 1, det):
@@ -258,7 +220,7 @@ def test_detect_all_matches_sequential_composition():
                 for o2, p2, post12 in detect_outcomes(post1, 2, det):
                     sequential[(o1, o2)] = (p1 * p2, post12)
             for pattern, (p, post) in table.items():
-                p_seq, post_seq = sequential.get(tuple(pattern.clicks), (0.0, None))
+                p_seq, post_seq = sequential.get(pattern, (0.0, None))
                 assert p == pytest.approx(p_seq, abs=1e-10)
                 if post is None or post_seq is None:
                     assert p < 1e-10 and p_seq < 1e-10
@@ -273,12 +235,8 @@ def test_detect_all_zero_probability_patterns_have_no_post():
     subs = (OpticalMode(2, "m1"), OpticalMode(2, "m2"))
     st = HybridState.basis(subs, (0, 0))
     table = detect_all_probabilities(st, (0, 1), DetectorModel.ideal())
-    assert table[HeraldPattern((False, False))][0] == pytest.approx(1.0)
-    for pattern in (
-        HeraldPattern((True, False)),
-        HeraldPattern((False, True)),
-        HeraldPattern((True, True)),
-    ):
+    assert table[(False, False)][0] == pytest.approx(1.0)
+    for pattern in ((True, False), (False, True), (True, True)):
         p, post = table[pattern]
         assert p == 0.0 and post is None
     with pytest.raises(ValueError):

@@ -11,7 +11,6 @@ from blockadesim.state_algebra import (
     OpticalMode,
     basis_iter,
     fidelity,
-    measure_projective,
     partial_trace,
     same_structure,
     tensor,
@@ -110,37 +109,6 @@ def test_tensor_product():
         k_b = next(iter(b.amplitudes))
         expected = a.amplitudes[k_a] * b.amplitudes[k_b]
         assert abs(t.amplitude(k_a + k_b) - expected) < ATOL_STATE
-
-
-def test_measure_projective_complete_partition():
-    rng = np.random.default_rng(7)
-    q = EnsembleQudit("A")
-    for _ in range(50):
-        subs = (q, OpticalMode(2, "m"))
-        st = random_state(rng, subs)
-        probs = []
-        for level in q.basis_labels():
-            p, post = measure_projective(st, 0, {level})
-            probs.append(p)
-            if p > 0.0:
-                assert abs(post.norm() - 1.0) < ATOL_STATE
-                assert all(k[0] == level for k in post.amplitudes)
-            else:
-                assert post is None
-        assert abs(sum(probs) - 1.0) < 1e-10
-
-
-def test_measure_projective_frozen_example():
-    st = HybridState(pair(), {("g", 0): 0.6, ("s", 1): 0.8})
-    p, post = measure_projective(st, 0, {"s"})
-    assert p == pytest.approx(0.64)
-    assert post.amplitude(("s", 1)) == pytest.approx(1.0)
-    p2, _ = measure_projective(st, 1, {0, 1})
-    assert p2 == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        measure_projective(st, 0, set())
-    with pytest.raises(ValueError):
-        measure_projective(st, 5, {"g"})
 
 
 def test_density_from_pure_and_trace():
