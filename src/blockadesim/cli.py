@@ -13,8 +13,9 @@ file, which is written atomically; a relative path lands under
 
 Exit codes: 0 success, 2 configuration/usage error (an output path that is
 a directory or cannot be written among them), 3 parameter validation
-error (a non-finite parameter or artifact value among them), 4 runtime cap
-(sweep grid bound) exceeded.
+error (a non-finite parameter or artifact value among them), 4 work bound
+exceeded before any work runs (a sweep grid above ``--max-grid`` points, or
+``entangle`` sampling above 10^9 trials, fixed or swept).
 """
 
 from __future__ import annotations
@@ -46,13 +47,16 @@ EXIT_CONFIG = 2
 EXIT_VALIDATION = 3
 EXIT_CAP = 4
 
+# Most sampled trials one entangle point may take (~50 s of sampling).
+ENTANGLE_MAX_TRIALS = 10**9
+
 
 class ConfigError(Exception):
     """Bad config file, unknown key, or untypable value."""
 
 
-class GridBoundError(Exception):
-    """Sweep grid larger than the configured bound."""
+class WorkBoundError(Exception):
+    """Sweep grid or entangle trials above their bound."""
 
 
 @dataclass(frozen=True)
@@ -289,6 +293,15 @@ def _output_path(output: Optional[Path]) -> Optional[Path]:
     return output
 
 
+def _bound_trials(command: str, params: dict, ranges: tuple = ()):
+    """Refuse ``entangle`` sampling above ``ENTANGLE_MAX_TRIALS`` at any point."""
+    if command != "entangle":
+        return
+    most = max(dict(ranges).get("trials", (params["trials"],)))
+    if most > ENTANGLE_MAX_TRIALS:
+        raise WorkBoundError(f"entangle needs {most} trials, bound is {ENTANGLE_MAX_TRIALS}")
+
+
 def parse_args(argv=None) -> RunConfig:
     args = build_parser().parse_args(argv)
     config_values = read_config_file(args.config) if args.config else {}
@@ -299,6 +312,7 @@ def parse_args(argv=None) -> RunConfig:
     config = RunConfig(command=args.command, params=params, seed=common["seed"],
                        output=_output_path(common["output"]), fmt=common["format"])
     if args.command != "sweep":
+        _bound_trials(inner, params)
         return config
     specs = [_parse_range(inner, r) for r in args.ranges]
     if not specs:
@@ -310,9 +324,10 @@ def parse_args(argv=None) -> RunConfig:
         raise ConfigError("swept parameters must be distinct")
     size = math.prod(spec[3] for spec in specs)
     if size > args.max_grid:
-        raise GridBoundError(f"sweep grid has {size} points, bound is {args.max_grid}")
-    return replace(config, sweep_command=inner,
-                   ranges=tuple((spec[0], _grid_values(*spec[1:])) for spec in specs))
+        raise WorkBoundError(f"sweep grid has {size} points, bound is {args.max_grid}")
+    ranges = tuple((spec[0], _grid_values(*spec[1:])) for spec in specs)
+    _bound_trials(inner, params, ranges)
+    return replace(config, sweep_command=inner, ranges=ranges)
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +621,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except GridBoundError as exc:
+    except WorkBoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except ValueError as exc:

@@ -20,6 +20,11 @@ Each table entry is built on first use from 8 single steps of
 ``_TransitionGraph.expand``, the only copy of the step rule; ``run_trial``
 and ``simulate_growth`` both run the one trial kernel ``_walk_trials``.
 
+Trial ``t`` of a run with seed ``s`` draws from the stream of
+``default_rng([s, t])``.  ``simulate_growth`` computes those PCG64 states in
+one vectorised pass of numpy's SeedSequence hash per block of trials, checks
+trial 0 against numpy itself, and sets each state on one reused generator.
+
 ``expected_cost_markov`` evaluates the same rules exactly: the reachable
 state space is tiny and the expected costs solve a linear system over it.
 The solver shares no stepping code with the Monte Carlo walk, so the two
@@ -86,6 +91,13 @@ class ClusterInventory:
             )
 
 
+# numpy's SeedSequence hash (pool of 4 uint32 words) and the PCG64 multiplier.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
+# Trials seeded per vectorised pass; bounds the seeding memory.
+_SEED_BLOCK = 4096
 # Uniforms a trial draws from its generator at a time, one per step.
 _DRAW_CHUNK = 256
 # Steps one byte of link bits covers: one table lookup walks them all.
@@ -282,6 +294,81 @@ def _tally(graph: _TransitionGraph, log_miss: float, ids: list, uniforms: list,
         inv.elapsed_steps += steps
 
 
+def _shr16(x: np.ndarray) -> np.ndarray:
+    return x ^ x >> np.uint32(16)
+
+
+def _hasher(hash_const: int, mult: int):
+    """numpy's SeedSequence hashmix: each call moves on to the next hash constant."""
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * mult & _MASK32
+        return _shr16(value * np.uint32(hash_const))
+    return hashmix
+
+
+def _pcg64_seeds(seed: int, start: int, count: int) -> list:
+    """(state, inc) of ``default_rng([seed, t]).bit_generator`` for ``count`` t from ``start``.
+
+    numpy's SeedSequence algorithm vectorised over t in uint32 arithmetic:
+    the entropy words of seed and t are hashed into a pool of 4 words,
+    mixed, and read out as 4 uint64 words, which seed PCG64 by the
+    ``pcg_setseq_128`` step.  A t of 2^32 or more takes two entropy words.
+    """
+    if start < 2**32 < start + count:
+        head = 2**32 - start
+        return _pcg64_seeds(seed, start, head) + _pcg64_seeds(seed, 2**32, count - head)
+    words = [seed & _MASK32]
+    while seed > _MASK32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    t = np.arange(start, start + count, dtype=np.uint64)
+    entropy = [np.full(count, word, np.uint32) for word in words] + [t.astype(np.uint32)]
+    if start >= 2**32:
+        entropy.append((t >> np.uint64(32)).astype(np.uint32))
+    entropy += [np.zeros(count, np.uint32)] * (4 - len(entropy))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _shr16(_MIX_L * pool[dst] - _MIX_R * hashmix(pool[src]))
+    for word in entropy[4:]:
+        pool = [_shr16(_MIX_L * x - _MIX_R * hashmix(word)) for x in pool]
+    out = [x.astype(np.uint64) for x in map(_hasher(_INIT_B, _MULT_B), pool + pool)]
+    # the uint64 words: state high, state low, sequence high, sequence low
+    state_hi, state_lo, seq_hi, seq_lo = (
+        (out[k] | out[k + 1] << np.uint64(32)).tolist() for k in range(0, 8, 2))
+    seeds = []
+    for a, b, c, d in zip(state_hi, state_lo, seq_hi, seq_lo):
+        inc = (c << 65 | d << 1 | 1) & _MASK128
+        seeds.append(((((a << 64 | b) + inc) * _PCG_MULT + inc) & _MASK128, inc))
+    return seeds
+
+
+def _trial_generators(seed: int, trials: int):
+    """The generator of each trial t, on the stream of ``default_rng([seed, t])``.
+
+    One generator is reused: each trial's PCG64 state is set on it when the
+    trial is taken, so a trial must draw all its uniforms before the next one
+    is taken.  Trial 0's computed state is checked against numpy's own
+    seeding first, so a numpy whose hash differs fails instead of giving
+    other numbers.
+    """
+    rng = np.random.default_rng([seed, 0])
+    bit_generator = rng.bit_generator
+    want = bit_generator.state["state"]
+    if _pcg64_seeds(seed, 0, 1) != [(want["state"], want["inc"])]:
+        raise RuntimeError("this numpy seeds PCG64 from SeedSequence differently than "
+                           "growth._pcg64_seeds computes it; refusing to run")
+    for start in range(0, trials, _SEED_BLOCK):
+        for state, inc in _pcg64_seeds(seed, start, min(_SEED_BLOCK, trials - start)):
+            bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                   "state": {"state": state, "inc": inc}}
+            yield rng
+
+
 def _walk_trials(policy: GrowthPolicy, p_block: float, eta_prime: float, rngs):
     """Run one growth trial per generator; yield (succeeded, inventory) in order.
 
@@ -289,11 +376,15 @@ def _walk_trials(policy: GrowthPolicy, p_block: float, eta_prime: float, rngs):
     one per step, packs their link bits ``u < q`` into bytes and walks its
     cached transition graph one byte, 8 steps, per lookup; where the step
     cap cuts a byte, the walk ends with a tail entry of the steps left.  A
-    trial ends on an absorbed node or at the cap.  The table columns and
-    uniforms of consecutive trials are buffered and tallied together every
+    trial ends on an absorbed node or at the cap, and only the byte steps up
+    to its absorption are kept.  The table columns and uniforms of
+    consecutive trials are buffered and tallied together every
     ``_TALLY_BYTES`` byte steps.  Block generation attempts are geometric
     with the chain acceptance probability, drawn by inversion from the
     uniform of each draw step.
+
+    A trial draws all its uniforms before the next generator is taken from
+    ``rngs``, so ``rngs`` may yield one generator reset for every trial.
     """
     q = link_success_probability(eta_prime)
     graph = _graph(policy.block_size, policy.target_size)
@@ -315,10 +406,16 @@ def _walk_trials(policy: GrowthPolicy, p_block: float, eta_prime: float, rngs):
             data = np.packbits(u < q, bitorder="little").tobytes()
             walked = data[:left // _BYTE]  # all of it unless the cap cuts the chunk
             path = graph.walk(node, walked)
-            ids += map(operator.add, map(_BASE_OF, path), walked)
             node = path[-1]
             code = node[_CODE]
-            if left < _DRAW_CHUNK:
+            if graph.absorbed[code]:
+                # the absorbed node loops on itself with zero columns: keep
+                # the byte steps up to its first visit (found by identity,
+                # since == on the nested nodes recurses without end)
+                walked = walked[:list(map(id, path)).index(id(node))]
+                u = u[:_BYTE * len(walked)]
+            ids += map(operator.add, map(_BASE_OF, path), walked)
+            if left < _DRAW_CHUNK and not graph.absorbed[code]:
                 # the cap falls inside this chunk: the steps after its last
                 # whole byte take a tail entry
                 part = left % _BYTE
@@ -402,7 +499,9 @@ def growth_rates(policy: GrowthPolicy, eta: float, eta_prime: float) -> tuple:
     """
     p_block = ghz_success_probability(policy.block_size, eta)
     if p_block <= 0.0:
-        raise ValueError("eta = 0 can never supply blocks")
+        raise ValueError("eta = 0 can never supply blocks" if eta == 0.0 else
+                         f"block probability of {policy.block_size}-qubit blocks "
+                         f"underflows to 0 at eta = {eta!r}")
     # attempts per block reach log(1 - u) / log1p(-p_block) at u = 1 - 2^-53
     if p_block < 1.0 and not math.isfinite(math.log(2.0**-53) / math.log1p(-p_block)):
         raise ValueError(f"block probability {p_block!r} is too small: "
@@ -417,8 +516,9 @@ def simulate_growth(policy: GrowthPolicy, eta: float, eta_prime: float,
                     seed: int, trials: int) -> GrowthStatistics:
     """Monte Carlo growth statistics, deterministic for a given seed.
 
-    Each trial runs on its own generator seeded by (seed, trial index), so
-    trial results do not depend on execution order.
+    Trial t draws from the stream of ``default_rng([seed, t])``, so trial
+    results do not depend on execution order; the streams' states are
+    computed in one vectorised pass per block of trials (``_pcg64_seeds``).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -432,7 +532,7 @@ def simulate_growth(policy: GrowthPolicy, eta: float, eta_prime: float,
     link_successes = 0
     link_attempts = 0
     cap_hits = 0
-    rngs = (np.random.default_rng([seed, t]) for t in range(trials))
+    rngs = _trial_generators(seed, trials)
     for t, (ok, inv) in enumerate(_walk_trials(policy, p_block, eta_prime, rngs)):
         inv.assert_ledger_balanced(policy.block_size)
         blocks[t] = inv.consumed_ghz_blocks

@@ -5,6 +5,7 @@ import stat
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -318,6 +319,35 @@ def test_grow_unreachable_target_exits_before_any_trial(monkeypatch, capsys):
     for eta in ("1e-160", "1e-155"):
         assert main(["grow", "--eta", eta, "--trials", "2", "--target", "4"]) == EXIT_VALIDATION
     assert "attempt count" in capsys.readouterr().err
+
+
+def test_grow_names_an_underflowing_block_probability(capsys):
+    assert main(["grow", "--eta", "1e-300", "--trials", "2", "--target", "4"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "block probability" in err and "1e-300" in err
+    assert "eta = 0 " not in err
+
+
+def test_grow_negative_seed_exits_3(capsys):
+    assert main(["grow", "--seed", "-1", "--trials", "2"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: expected non-negative integer\n"
+
+
+@pytest.mark.parametrize("trials", [1_000_000_001, 1_000_000_000_000])
+def test_entangle_trials_above_the_bound_exit_4_before_any_work(tmp_path, capsys, trials):
+    out = tmp_path / "refused.json"
+    for argv in (["entangle", "--trials", str(trials)],
+                 ["sweep", "entangle", "--set", f"trials={trials}", "--range", "eta=0.5:1:0.5"],
+                 ["sweep", "entangle", "--range", f"trials=1:{trials}:{trials - 1}"]):
+        begin = time.perf_counter()
+        assert main(argv + ["--output", str(out)]) == EXIT_CAP, argv
+        assert time.perf_counter() - begin < 1.0, argv
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:") and "bound" in err
+    # the bound itself is allowed, and swept trials replace a fixed value
+    assert parse_args(["entangle", "--trials", "1000000000"]).params["trials"] == 10**9
+    parse_args(["sweep", "entangle", "--set", f"trials={trials}", "--range", "trials=1:2:1"])
 
 
 def test_grow_builds_only_the_graph_nodes_it_visits(capsys):

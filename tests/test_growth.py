@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import sys
@@ -211,6 +212,37 @@ def test_run_trial_matches_reference_trial_wherever_the_cap_cuts_a_byte(rest):
                 assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
+def test_a_trial_absorbed_in_its_first_chunk_tallies_only_its_steps(monkeypatch):
+    tallied = []
+    tally = growth._tally
+
+    def recording(graph, log_miss, ids, uniforms, owners, starts):
+        tallied.append(len(ids))
+        assert sum(map(len, uniforms)) == growth._BYTE * len(ids)
+        tally(graph, log_miss, ids, uniforms, owners, starts)
+
+    monkeypatch.setattr(growth, "_tally", recording)
+    absorbed = 0
+    for (block, target), (p_block, eta_prime), seed in itertools.product(
+            ((4, 5), (4, 8), (6, 12)), ((1.0, 1.0), (0.28125, 0.9)), range(4)):
+        ok, inv = run_trial(GrowthPolicy(block, target), p_block, eta_prime,
+                            np.random.default_rng([seed, target]))
+        steps = inv.elapsed_steps
+        if not ok or steps > growth._DRAW_CHUNK:
+            continue
+        absorbed += 1
+        assert tallied.pop() == -(-steps // growth._BYTE)
+        # caps before, at and after the absorbing step
+        for cap in (steps - 1, steps, steps + 1, steps + growth._BYTE):
+            policy = GrowthPolicy(block, target, cap)
+            got_rng = np.random.default_rng([seed, target])
+            want_rng = np.random.default_rng([seed, target])
+            got = run_trial(policy, p_block, eta_prime, got_rng)
+            assert got == reference_trial(policy, p_block, eta_prime, want_rng), cap
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert absorbed > 10
+
+
 def test_every_built_entry_is_eight_single_steps():
     growth._graph.cache_clear()
     for policy, eta_prime in ((GrowthPolicy(4, 12, 1_000_000), 0.5),
@@ -351,6 +383,48 @@ def test_walk_buffers_a_bounded_number_of_steps(monkeypatch):
     assert len(tallied) > 10
     chunk = growth._DRAW_CHUNK // growth._BYTE
     assert max(tallied) < growth._TALLY_BYTES + chunk
+
+
+SEEDS = (0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 3, 2**96, 2**128 + 5)
+
+
+def test_pcg64_seeds_match_default_rng_on_a_hundred_thousand_pairs():
+    rng = np.random.default_rng(99)
+    seeds = SEEDS + tuple(int(rng.integers(2**63)) >> int(rng.integers(64)) for _ in range(12))
+    pairs = 0
+    for i, seed in enumerate(seeds):
+        # every fourth seed takes t across 2^32, where t needs two entropy words
+        start = 2**32 - 2_500 if i % 4 == 3 else int(rng.integers(100)) * (i % 2)
+        got = growth._pcg64_seeds(seed, start, 5_000)
+        for t, pair in enumerate(got, start):
+            want = np.random.default_rng([seed, t]).bit_generator.state["state"]
+            assert pair == (want["state"], want["inc"]), (seed, t)
+        pairs += len(got)
+    assert pairs == 100_000
+
+
+def test_trial_generators_run_the_streams_of_default_rng():
+    for seed in SEEDS:
+        rngs = growth._trial_generators(seed, growth._SEED_BLOCK + 3)
+        for t, rng in enumerate(rngs):
+            if t % 1000 in (0, 1, 2) or t >= growth._SEED_BLOCK:
+                want = np.random.default_rng([seed, t])
+                assert rng.bit_generator.state == want.bit_generator.state
+                assert rng.random(3).tolist() == want.random(3).tolist()
+
+
+def test_trial_generators_refuse_a_numpy_that_seeds_differently(monkeypatch):
+    def off_by_one(seed, start, count):
+        return [(state ^ 1, inc) for state, inc in computed(seed, start, count)]
+
+    computed = growth._pcg64_seeds
+    monkeypatch.setattr(growth, "_pcg64_seeds", off_by_one)
+    with pytest.raises(RuntimeError, match="SeedSequence"):
+        simulate_growth(GrowthPolicy(), 0.9, 0.9, seed=1, trials=3)
+    # a negative seed is refused as numpy refuses it
+    monkeypatch.setattr(growth, "_pcg64_seeds", computed)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        simulate_growth(GrowthPolicy(), 0.9, 0.9, seed=-1, trials=3)
 
 
 # ---------------------------------------------------------------------------
