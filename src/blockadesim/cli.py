@@ -14,8 +14,9 @@ file, which is written atomically; a relative path lands under
 Exit codes: 0 success, 2 configuration/usage error (an output path that is
 a directory or cannot be written among them), 3 parameter validation
 error (a non-finite parameter or artifact value among them), 4 work bound
-exceeded before any work runs (a sweep grid above ``--max-grid`` points, or
-``entangle`` sampling above 10^9 trials, fixed or swept).
+exceeded before any work runs (a sweep grid above ``--max-grid`` points,
+``entangle`` sampling above 10^9 trials or ``grow`` above 10^6 trials, fixed
+or swept).
 """
 
 from __future__ import annotations
@@ -49,6 +50,9 @@ EXIT_CAP = 4
 
 # Most sampled trials one entangle point may take (~50 s of sampling).
 ENTANGLE_MAX_TRIALS = 10**9
+# Most trials one grow point may take: each keeps a row of counters until the
+# statistics are taken.
+GROW_MAX_TRIALS = 10**6
 
 
 class ConfigError(Exception):
@@ -56,7 +60,7 @@ class ConfigError(Exception):
 
 
 class WorkBoundError(Exception):
-    """Sweep grid or entangle trials above their bound."""
+    """Sweep grid or Monte Carlo trials above their bound."""
 
 
 @dataclass(frozen=True)
@@ -294,12 +298,13 @@ def _output_path(output: Optional[Path]) -> Optional[Path]:
 
 
 def _bound_trials(command: str, params: dict, ranges: tuple = ()):
-    """Refuse ``entangle`` sampling above ``ENTANGLE_MAX_TRIALS`` at any point."""
-    if command != "entangle":
+    """Refuse Monte Carlo trials above the command's bound at any point."""
+    bound = {"entangle": ENTANGLE_MAX_TRIALS, "grow": GROW_MAX_TRIALS}.get(command)
+    if bound is None:
         return
     most = max(dict(ranges).get("trials", (params["trials"],)))
-    if most > ENTANGLE_MAX_TRIALS:
-        raise WorkBoundError(f"entangle needs {most} trials, bound is {ENTANGLE_MAX_TRIALS}")
+    if most > bound:
+        raise WorkBoundError(f"{command} needs {most} trials, bound is {bound}")
 
 
 def parse_args(argv=None) -> RunConfig:

@@ -18,12 +18,18 @@ over those slot states, 8 steps per lookup: a table indexed by (state, byte
 of 8 link bits) gives the state 8 steps on and the counts of those steps.
 Each table entry is built on first use from 8 single steps of
 ``_TransitionGraph.expand``, the only copy of the step rule; ``run_trial``
-and ``simulate_growth`` both run the one trial kernel ``_walk_trials``.
+and ``simulate_growth`` both run the one trial kernel ``_walk_trials``.  A
+trial's first chunk of draws walks its first 8 bytes alone and the rest only
+if the trial is not absorbed by then.  The kernel tallies the steps of
+consecutive trials together into one int64 array with a row of counters per
+trial, and ``simulate_growth`` checks every trial's qubit ledger on that
+array in one comparison.
 
 Trial ``t`` of a run with seed ``s`` draws from the stream of
 ``default_rng([s, t])``.  ``simulate_growth`` computes those PCG64 states in
 one vectorised pass of numpy's SeedSequence hash per block of trials, checks
-trial 0 against numpy itself, and sets each state on one reused generator.
+trial 0 of the first pass against numpy itself, and sets each state on one
+reused generator.
 
 ``expected_cost_markov`` evaluates the same rules exactly: the reachable
 state space is tiny and the expected costs solve a linear system over it.
@@ -33,6 +39,7 @@ sides cross-check each other.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import operator
@@ -113,6 +120,14 @@ _STOP = -1
 # Table rows: blocks, link attempts, link successes, qubits measured, qubits
 # discarded and steps taken, then the mask of the draw steps.
 _ROWS = 7
+# Counters of a trial: blocks, generation attempts, link attempts, link
+# successes, qubits measured, qubits discarded and steps taken; the first six
+# table rows add to the columns _FROM_TABLE.
+_COLUMNS = 7
+_FROM_TABLE = [0, 2, 3, 4, 5, 6]
+# Bytes of a trial's first chunk walked before the rest of it: the 64 steps
+# that most trials of a short target end within.
+_HEAD = 8
 
 
 class _TransitionGraph:
@@ -266,32 +281,36 @@ def _extra_attempts(u: np.ndarray, log_miss: float) -> np.ndarray:
 
 
 def _tally(graph: _TransitionGraph, log_miss: float, ids: list, uniforms: list,
-           owners: list, starts: list):
-    """Add the counters of buffered byte steps to the inventories they belong to.
+           starts: list) -> np.ndarray:
+    """The counter rows of buffered byte steps, one row per trial, in ``_COLUMNS`` order.
 
     ``ids`` holds the table column of each byte step and ``uniforms`` its 8
-    uniforms; the byte steps of ``owners[i]`` begin at ``starts[i]``.
+    uniforms; the byte steps of row ``i`` begin at ``starts[i]``.  The rows
+    are int64, or Python ints once a batch's attempt counts pass 2^53.
     """
     entries = graph.table.take(np.fromiter(ids, np.intp, len(ids)), axis=1)
-    counts = np.add.reduceat(entries[:6], starts, axis=1, dtype=np.int64).T.tolist()
-    extra = np.zeros(_BYTE * len(ids))
+    counts = np.empty((len(starts), _COLUMNS), np.int64)
+    counts[:, _FROM_TABLE] = np.add.reduceat(entries[:6], starts, axis=1, dtype=np.int64).T
+    counts[:, 1] = counts[:, 0]
     if log_miss:
+        extra = np.zeros(_BYTE * len(ids))
         drawn = np.flatnonzero(np.unpackbits(entries[6], bitorder="little"))
         extra[drawn] = _extra_attempts(np.concatenate(uniforms).take(drawn), log_miss)
-    starts = [_BYTE * start for start in starts]
-    if extra.sum() < 2.0**53:  # float sums of the integer floors stay exact
-        more = np.add.reduceat(extra, starts).astype(np.int64).tolist()
-    else:
-        more = [sum(map(int, piece.tolist())) for piece in np.split(extra, starts[1:])]
-    for inv, (blocks, links, wins, measured, dropped, steps), extra_gens in zip(
-            owners, counts, more):
-        inv.consumed_ghz_blocks += blocks
-        inv.generation_attempts += blocks + extra_gens
-        inv.link_attempts += links
-        inv.link_successes += wins
-        inv.qubits_measured += measured
-        inv.qubits_discarded += dropped
-        inv.elapsed_steps += steps
+        starts = [_BYTE * start for start in starts]
+        if extra.sum() < 2.0**53:  # float sums of the integer floors stay exact
+            counts[:, 1] += np.add.reduceat(extra, starts).astype(np.int64)
+        else:
+            counts = counts.astype(object)
+            counts[:, 1] += [sum(map(int, piece.tolist())) for piece in np.split(extra, starts[1:])]
+    return counts
+
+
+def _added(rows: np.ndarray, first: int, counts: np.ndarray) -> np.ndarray:
+    """``rows`` with ``counts`` added from row ``first`` on; Python ints once either holds them."""
+    if object in (rows.dtype, counts.dtype):
+        rows, counts = rows.astype(object, copy=False), counts.astype(object, copy=False)
+    rows[first:first + len(counts)] += counts
+    return rows
 
 
 def _shr16(x: np.ndarray) -> np.ndarray:
@@ -359,79 +378,99 @@ def _trial_generators(seed: int, trials: int):
     rng = np.random.default_rng([seed, 0])
     bit_generator = rng.bit_generator
     want = bit_generator.state["state"]
-    if _pcg64_seeds(seed, 0, 1) != [(want["state"], want["inc"])]:
-        raise RuntimeError("this numpy seeds PCG64 from SeedSequence differently than "
-                           "growth._pcg64_seeds computes it; refusing to run")
     for start in range(0, trials, _SEED_BLOCK):
-        for state, inc in _pcg64_seeds(seed, start, min(_SEED_BLOCK, trials - start)):
+        seeds = _pcg64_seeds(seed, start, min(_SEED_BLOCK, trials - start))
+        if start == 0 and seeds[0] != (want["state"], want["inc"]):
+            raise RuntimeError("this numpy seeds PCG64 from SeedSequence differently than "
+                               "growth._pcg64_seeds computes it; refusing to run")
+        for state, inc in seeds:
             bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
                                    "state": {"state": state, "inc": inc}}
             yield rng
 
 
-def _walk_trials(policy: GrowthPolicy, p_block: float, eta_prime: float, rngs):
-    """Run one growth trial per generator; yield (succeeded, inventory) in order.
+def _walk_trials(policy: GrowthPolicy, p_block: float, eta_prime: float, rngs,
+                 trials: int) -> tuple:
+    """Run one growth trial per generator; return (rows, ends).
 
-    Each trial draws uniforms from its generator in chunks of ``_DRAW_CHUNK``,
-    one per step, packs their link bits ``u < q`` into bytes and walks its
-    cached transition graph one byte, 8 steps, per lookup; where the step
-    cap cuts a byte, the walk ends with a tail entry of the steps left.  A
-    trial ends on an absorbed node or at the cap, and only the byte steps up
-    to its absorption are kept.  The table columns and uniforms of
-    consecutive trials are buffered and tallied together every
-    ``_TALLY_BYTES`` byte steps.  Block generation attempts are geometric
-    with the chain acceptance probability, drawn by inversion from the
-    uniform of each draw step.
+    ``rows[t]`` holds the counters of trial t in ``_COLUMNS`` order and
+    ``ends[t]`` its final slot state (a, b).  Each trial draws uniforms from
+    its generator in chunks of ``_DRAW_CHUNK``, one per step, packs their
+    link bits ``u < q`` into bytes and walks its cached transition graph one
+    byte, 8 steps, per lookup; where the step cap cuts a byte, the walk ends
+    with a tail entry of the steps left.  The first chunk walks its first
+    ``_HEAD`` bytes alone and the rest only if the trial is not absorbed by
+    then, since most short trials end inside the head.  A trial ends on an
+    absorbed node or at the cap, and only the byte steps up to its
+    absorption are kept.  The table columns and uniforms of consecutive
+    trials are buffered and tallied together every ``_TALLY_BYTES`` byte
+    steps.  Block generation attempts are geometric with the chain
+    acceptance probability, drawn by inversion from the uniform of each
+    draw step.
 
     A trial draws all its uniforms before the next generator is taken from
     ``rngs``, so ``rngs`` may yield one generator reset for every trial.
     """
     q = link_success_probability(eta_prime)
     graph = _graph(policy.block_size, policy.target_size)
+    absorbed = graph.absorbed
     log_miss = math.log1p(-p_block) if p_block < 1.0 else 0.0
-    ids, uniforms, owners, starts, done = [], [], [], [], []
-    for rng in rngs:
-        inv = ClusterInventory()
+    rows = np.zeros((trials, _COLUMNS), np.int64)
+    ends = []
+    # the buffer holds the byte steps of trials first, first + 1, ...
+    ids, uniforms, starts, first = [], [], [], 0
+    for t, rng in enumerate(rngs):
         node, left = graph.start, policy.step_cap
         while True:
             if len(ids) >= _TALLY_BYTES:
-                _tally(graph, log_miss, ids, uniforms, owners, starts)
-                ids, uniforms, owners, starts = [], [], [], []
-                yield from done
-                done = []
-            if not owners or owners[-1] is not inv:
-                owners.append(inv)
+                rows = _added(rows, first, _tally(graph, log_miss, ids, uniforms, starts))
+                ids, uniforms, starts, first = [], [], [], t
+            if first + len(starts) == t:
                 starts.append(len(ids))
             u = rng.random(_DRAW_CHUNK)
             data = np.packbits(u < q, bitorder="little").tobytes()
             walked = data[:left // _BYTE]  # all of it unless the cap cuts the chunk
-            path = graph.walk(node, walked)
+            head = _HEAD if left == policy.step_cap else len(walked)
+            path = graph.walk(node, walked[:head])
             node = path[-1]
+            if len(walked) > head and not absorbed[node[_CODE]]:
+                path[-1:] = graph.walk(node, walked[head:])
+                node = path[-1]
             code = node[_CODE]
-            if graph.absorbed[code]:
+            kept = len(walked)
+            if absorbed[code]:
                 # the absorbed node loops on itself with zero columns: keep
                 # the byte steps up to its first visit (found by identity,
                 # since == on the nested nodes recurses without end)
-                walked = walked[:list(map(id, path)).index(id(node))]
-                u = u[:_BYTE * len(walked)]
+                kept = bisect.bisect_left(path, True, key=lambda visit: visit is node)
+                walked = walked[:kept]
             ids += map(operator.add, map(_BASE_OF, path), walked)
-            if left < _DRAW_CHUNK and not graph.absorbed[code]:
+            if left < _DRAW_CHUNK and not absorbed[code]:
                 # the cap falls inside this chunk: the steps after its last
                 # whole byte take a tail entry
                 part = left % _BYTE
                 if part:
-                    column, code = graph.tail(node, data[len(walked)] & (1 << part) - 1, part)
+                    column, code = graph.tail(node, data[kept] & (1 << part) - 1, part)
                     ids.append(column)
-                u = u[:_BYTE * (len(walked) + (part > 0))]
-            uniforms.append(u)
+                    kept += 1
+            # a view of a cut chunk would keep all of it until the tally
+            uniforms.append(u if kept == len(data) else u[:_BYTE * kept].copy())
             left -= _DRAW_CHUNK
-            if graph.absorbed[code] or left <= 0:
+            if absorbed[code] or left <= 0:
                 break
-        inv.clusters = [size for size in graph.states[code] if size]
-        done.append((graph.absorbed[code], inv))
+        ends.append(graph.states[code])
     if ids:
-        _tally(graph, log_miss, ids, uniforms, owners, starts)
-    yield from done
+        rows = _added(rows, first, _tally(graph, log_miss, ids, uniforms, starts))
+    return rows, ends
+
+
+def _inventory(row: np.ndarray, end) -> ClusterInventory:
+    """The ledger of a trial from its counter row and final slot state."""
+    blocks, gens, links, wins, measured, dropped, steps = row.tolist()
+    return ClusterInventory(
+        clusters=[size for size in end if size], consumed_ghz_blocks=blocks,
+        generation_attempts=gens, link_attempts=links, link_successes=wins,
+        elapsed_steps=steps, qubits_measured=measured, qubits_discarded=dropped)
 
 
 def run_trial(policy: GrowthPolicy, p_block: float, eta_prime: float,
@@ -446,8 +485,8 @@ def run_trial(policy: GrowthPolicy, p_block: float, eta_prime: float,
     uniform is consumed per step from chunks of ``_DRAW_CHUNK``, so results
     are deterministic for a given generator state.
     """
-    (result,) = _walk_trials(policy, p_block, eta_prime, [rng])
-    return result
+    rows, (end,) = _walk_trials(policy, p_block, eta_prime, [rng], 1)
+    return max(end) >= policy.target_size, _inventory(rows[0], end)
 
 
 @dataclass(frozen=True)
@@ -484,7 +523,8 @@ class GrowthStatistics:
         return out
 
 
-def _mean_std(values: np.ndarray) -> tuple:
+def _mean_std(counts: np.ndarray) -> tuple:
+    values = counts.astype(np.float64)
     mean = float(values.mean())
     std = float(values.std(ddof=1)) if len(values) > 1 else 0.0
     return mean, std
@@ -524,25 +564,18 @@ def simulate_growth(policy: GrowthPolicy, eta: float, eta_prime: float,
         raise ValueError("trials must be >= 1")
     p_block, _ = growth_rates(policy, eta, eta_prime)
 
-    blocks = np.empty(trials)
-    links = np.empty(trials)
-    gens = np.empty(trials)
-    steps = np.empty(trials)
-    successes = 0
-    link_successes = 0
-    link_attempts = 0
-    cap_hits = 0
-    rngs = _trial_generators(seed, trials)
-    for t, (ok, inv) in enumerate(_walk_trials(policy, p_block, eta_prime, rngs)):
-        inv.assert_ledger_balanced(policy.block_size)
-        blocks[t] = inv.consumed_ghz_blocks
-        links[t] = inv.link_attempts
-        gens[t] = inv.generation_attempts
-        steps[t] = inv.elapsed_steps
-        successes += ok
-        link_successes += inv.link_successes
-        link_attempts += inv.link_attempts
-        cap_hits += not ok
+    rows, ends = _walk_trials(policy, p_block, eta_prime, _trial_generators(seed, trials),
+                              trials)
+    ends = np.array(ends, np.int64)
+    blocks, gens, links, wins, measured, dropped, steps = rows.T
+    # every trial's qubit ledger, as ClusterInventory.assert_ledger_balanced checks one
+    broken = np.flatnonzero(blocks * policy.block_size != ends.sum(axis=1) + measured + dropped)
+    if broken.size:
+        t = int(broken[0])
+        _inventory(rows[t], ends[t]).assert_ledger_balanced(policy.block_size)
+    successes = int(np.count_nonzero((ends >= policy.target_size).any(axis=1)))
+    link_successes = int(wins.sum())
+    link_attempts = int(links.sum())
 
     mean_blocks, std_blocks = _mean_std(blocks)
     mean_links, std_links = _mean_std(links)
@@ -556,7 +589,7 @@ def simulate_growth(policy: GrowthPolicy, eta: float, eta_prime: float,
         trials=trials,
         block_probability=p_block,
         success_fraction=successes / trials,
-        cap_hit_fraction=cap_hits / trials,
+        cap_hit_fraction=(trials - successes) / trials,
         mean_blocks=mean_blocks,
         std_blocks=std_blocks,
         mean_link_attempts=mean_links,

@@ -285,6 +285,19 @@ class EntangleSampleStats:
         return self.n_heralds / self.trials
 
 
+def _bin_counts(edges, draws) -> list:
+    """How many ``draws`` fall in each bin of the non-decreasing ``edges``.
+
+    Bin k holds edges[k - 1] <= draw < edges[k] (the outer bins are open), so
+    a draw equal to an edge falls in the bin above it, as
+    ``np.searchsorted(edges, draws, side="right")`` bins it.
+    """
+    import numpy as np
+
+    below = [0, *(int(np.count_nonzero(draws < edge)) for edge in edges), len(draws)]
+    return [high - low for low, high in zip(below, below[1:])]
+
+
 def entangle_pair_sampled(absorption: AbsorptionModel, detector: DetectorModel,
                           seed: int, trials: int,
                           policy: HeraldPolicy = HeraldPolicy.PER_DETECTOR) -> EntangleSampleStats:
@@ -316,7 +329,7 @@ def entangle_pair_sampled(absorption: AbsorptionModel, detector: DetectorModel,
     counts = np.zeros(4, dtype=np.int64)
     for start in range(0, trials, SAMPLE_CHUNK):
         draws = rng.random(min(SAMPLE_CHUNK, trials - start))
-        counts += np.bincount(np.searchsorted(edges, draws, side="right"), minlength=4)
+        counts += _bin_counts(edges, draws)
 
     if policy is HeraldPolicy.PER_DETECTOR:
         expected = 1.0 - joint[(False, False)]

@@ -333,21 +333,32 @@ def test_grow_negative_seed_exits_3(capsys):
     assert capsys.readouterr().err == "error: expected non-negative integer\n"
 
 
-@pytest.mark.parametrize("trials", [1_000_000_001, 1_000_000_000_000])
-def test_entangle_trials_above_the_bound_exit_4_before_any_work(tmp_path, capsys, trials):
-    out = tmp_path / "refused.json"
-    for argv in (["entangle", "--trials", str(trials)],
-                 ["sweep", "entangle", "--set", f"trials={trials}", "--range", "eta=0.5:1:0.5"],
-                 ["sweep", "entangle", "--range", f"trials=1:{trials}:{trials - 1}"]):
+def assert_trials_refused(command, trials, out, capsys):
+    for argv in ([command, "--trials", str(trials)],
+                 ["sweep", command, "--set", f"trials={trials}", "--range", "eta=0.5:1:0.5"],
+                 ["sweep", command, "--range", f"trials=1:{trials}:{trials - 1}"]):
         begin = time.perf_counter()
         assert main(argv + ["--output", str(out)]) == EXIT_CAP, argv
         assert time.perf_counter() - begin < 1.0, argv
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error:") and "bound" in err
-    # the bound itself is allowed, and swept trials replace a fixed value
+    # swept trials replace a fixed value
+    parse_args(["sweep", command, "--set", f"trials={trials}", "--range", "trials=1:2:1"])
+
+
+@pytest.mark.parametrize("trials", [1_000_000_001, 1_000_000_000_000])
+def test_entangle_trials_above_the_bound_exit_4_before_any_work(tmp_path, capsys, trials):
+    assert_trials_refused("entangle", trials, tmp_path / "refused.json", capsys)
+    # the bound itself is allowed
     assert parse_args(["entangle", "--trials", "1000000000"]).params["trials"] == 10**9
-    parse_args(["sweep", "entangle", "--set", f"trials={trials}", "--range", "trials=1:2:1"])
+
+
+@pytest.mark.parametrize("trials", [1_000_001, 1_000_000_000])
+def test_grow_trials_above_the_bound_exit_4_before_any_work(tmp_path, capsys, trials):
+    assert_trials_refused("grow", trials, tmp_path / "refused.json", capsys)
+    # the bound itself is allowed
+    assert parse_args(["grow", "--trials", "1000000"]).params["trials"] == 10**6
 
 
 def test_grow_builds_only_the_graph_nodes_it_visits(capsys):

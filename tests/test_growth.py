@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,10 +217,10 @@ def test_a_trial_absorbed_in_its_first_chunk_tallies_only_its_steps(monkeypatch)
     tallied = []
     tally = growth._tally
 
-    def recording(graph, log_miss, ids, uniforms, owners, starts):
+    def recording(graph, log_miss, ids, uniforms, starts):
         tallied.append(len(ids))
         assert sum(map(len, uniforms)) == growth._BYTE * len(ids)
-        tally(graph, log_miss, ids, uniforms, owners, starts)
+        return tally(graph, log_miss, ids, uniforms, starts)
 
     monkeypatch.setattr(growth, "_tally", recording)
     absorbed = 0
@@ -293,10 +294,61 @@ def test_every_built_entry_is_eight_single_steps():
     (GrowthPolicy(6, 6, 1_000_000), 0.3, 0.0, 40),
     (GrowthPolicy(6, 14, 257), 0.95, 0.8, 80),
     (GrowthPolicy(6, 20, 1_000_000), 1.0, 1.0, 30),
+    # p_block 5e-17: attempt counts pass 2^53 and are tallied as Python ints
+    (GrowthPolicy(4, 12, 1_000_000), 1e-8, 0.9, 30),
 ])
 def test_simulate_growth_matches_reference_growth(policy, eta, eta_prime, trials):
     got = simulate_growth(policy, eta, eta_prime, seed=19, trials=trials)
     assert got == reference_growth(policy, eta, eta_prime, seed=19, trials=trials)
+
+
+def test_simulate_growth_matches_reference_growth_around_the_head():
+    # the first chunk walks its 8-byte head (64 steps) alone: trials absorbed
+    # on the last step of the head and one step either side of it, and caps
+    # that fall inside the head
+    policy = GrowthPolicy(4, 8)
+    p_block, _ = growth.growth_rates(policy, 0.9, 0.875)
+    ends = set()
+    for seed in (0, 1):
+        for t in range(90):
+            ok, inv = reference_trial(policy, p_block, 0.875, np.random.default_rng([seed, t]))
+            ends.add(inv.elapsed_steps)
+        got = simulate_growth(policy, 0.9, 0.875, seed=seed, trials=90)
+        assert got == reference_growth(policy, 0.9, 0.875, seed=seed, trials=90)
+    assert {63, 64, 65} <= ends
+    for cap in (5, 8, 40, 63, 64, 65):
+        policy = GrowthPolicy(4, 8, cap)
+        got = simulate_growth(policy, 0.9, 0.875, seed=0, trials=90)
+        assert got == reference_growth(policy, 0.9, 0.875, seed=0, trials=90), cap
+
+
+def test_simulate_growth_asserts_every_trial_ledger():
+    growth._graph.cache_clear()
+    policy = GrowthPolicy(4, 8)
+    simulate_growth(policy, 0.9, 0.875, seed=3, trials=50)
+    graph = growth._graph(4, 8)
+    try:
+        # one byte out of the start state that the run took: its trials now
+        # discard a qubit that was never created
+        byte = next(b for b in range(256) if graph.start[b] is not graph.stop)
+        graph.table[4, graph.start[growth._BASE] + byte] += 1
+        with pytest.raises(AssertionError, match="qubit ledger broken"):
+            simulate_growth(policy, 0.9, 0.875, seed=3, trials=50)
+    finally:
+        growth._graph.cache_clear()
+
+
+def test_walk_keeps_only_the_uniforms_of_the_steps_it_tallies():
+    policy = GrowthPolicy(4, 5)
+    simulate_growth(policy, 0.9, 0.875, seed=2, trials=400)  # builds the graph
+    tracemalloc.start()
+    try:
+        simulate_growth(policy, 0.9, 0.875, seed=2, trials=400)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a view of each absorbed trial's first chunk would pin 2 KB per trial
+    assert peak < 350_000
 
 
 def reference_attempts(u, log_miss):
@@ -369,10 +421,10 @@ def test_walk_buffers_a_bounded_number_of_steps(monkeypatch):
     tallied = []
     tally = growth._tally
 
-    def recording(graph, log_miss, ids, uniforms, owners, starts):
+    def recording(graph, log_miss, ids, uniforms, starts):
         tallied.append(len(ids))
         assert sum(map(len, uniforms)) == growth._BYTE * len(ids)
-        tally(graph, log_miss, ids, uniforms, owners, starts)
+        return tally(graph, log_miss, ids, uniforms, starts)
 
     monkeypatch.setattr(growth, "_tally", recording)
     policy = GrowthPolicy(4, 20, 50_000)

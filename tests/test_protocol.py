@@ -188,6 +188,19 @@ def test_entangle_sampled_chunks_keep_the_single_draw_counts(monkeypatch):
     assert chunked == single
 
 
+def test_bin_counts_bin_edge_draws_as_searchsorted_right():
+    import numpy as np
+    rng = np.random.default_rng(31)
+    # two equal edges leave a zero-probability bin between them
+    for edges in (np.array([0.25, 0.5, 0.5]), np.array([0.0, 0.0, 0.7]),
+                  np.cumsum([0.1, 0.2, 0.3]), np.array([0.3, 0.6, 1.0])):
+        draws = np.concatenate([rng.random(5_000), edges, np.nextafter(edges, 0.0),
+                                np.nextafter(edges, 1.0), [0.0]])
+        want = np.bincount(np.searchsorted(edges, draws, side="right"), minlength=4)
+        assert protocol._bin_counts(edges, draws) == want.tolist(), edges
+        assert protocol._bin_counts(edges.tolist(), draws[:0]) == [0, 0, 0, 0]
+
+
 def test_entangle_sampled_exclusive_counts():
     stats = entangle_pair_sampled(AbsorptionModel(0.9), DetectorModel(efficiency=0.4),
                                   seed=5, trials=10_000, policy=HeraldPolicy.EXCLUSIVE)
