@@ -291,7 +291,7 @@ def _tally(graph: _TransitionGraph, log_miss: float, ids: list, uniforms: list,
     entries = graph.table.take(np.fromiter(ids, np.intp, len(ids)), axis=1)
     counts = np.empty((len(starts), _COLUMNS), np.int64)
     counts[:, _FROM_TABLE] = np.add.reduceat(entries[:6], starts, axis=1, dtype=np.int64).T
-    counts[:, 1] = counts[:, 0]
+    counts[:, 1] = counts[:, 0]  # one generation attempt per block, plus the extra ones
     if log_miss:
         extra = np.zeros(_BYTE * len(ids))
         drawn = np.flatnonzero(np.unpackbits(entries[6], bitorder="little"))

@@ -311,7 +311,7 @@ def test_simulate_growth_matches_reference_growth_around_the_head():
     ends = set()
     for seed in (0, 1):
         for t in range(90):
-            ok, inv = reference_trial(policy, p_block, 0.875, np.random.default_rng([seed, t]))
+            _, inv = reference_trial(policy, p_block, 0.875, np.random.default_rng([seed, t]))
             ends.add(inv.elapsed_steps)
         got = simulate_growth(policy, 0.9, 0.875, seed=seed, trials=90)
         assert got == reference_growth(policy, 0.9, 0.875, seed=seed, trials=90)
