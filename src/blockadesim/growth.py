@@ -17,12 +17,12 @@ draws one uniform per step and walks each trial through a transition graph
 over those slot states, 8 steps per lookup: a table indexed by (state, byte
 of 8 link bits) gives the state 8 steps on and the counts of those steps.
 Each table entry is built on first use from 8 single steps of
-``_TransitionGraph.expand``, the only copy of the step rule; ``run_trial``
-and ``simulate_growth`` both run the one trial kernel ``_walk_trials``.  A
-trial's first chunk of draws walks its first 8 bytes alone and the rest only
-if the trial is not absorbed by then.  The kernel tallies the steps of
-consecutive trials together into one int64 array with a row of counters per
-trial, and ``simulate_growth`` checks every trial's qubit ledger on that
+``_TransitionGraph.expand``, the only copy of the step rule, and whether a
+trial has succeeded is read from the graph's absorbed states; ``run_trial``
+and ``simulate_growth`` both run the one trial kernel ``_walk_trials``.  The
+kernel tallies the steps of consecutive trials together into one int64
+array with a row of counters per trial (Python ints once a count would pass
+int64), and ``simulate_growth`` checks every trial's qubit ledger on that
 array in one comparison.
 
 Trial ``t`` of a run with seed ``s`` draws from the stream of
@@ -125,9 +125,6 @@ _ROWS = 7
 # table rows add to the columns _FROM_TABLE.
 _COLUMNS = 7
 _FROM_TABLE = [0, 2, 3, 4, 5, 6]
-# Bytes of a trial's first chunk walked before the rest of it: the 64 steps
-# that most trials of a short target end within.
-_HEAD = 8
 
 
 class _TransitionGraph:
@@ -306,8 +303,15 @@ def _tally(graph: _TransitionGraph, log_miss: float, ids: list, uniforms: list,
 
 
 def _added(rows: np.ndarray, first: int, counts: np.ndarray) -> np.ndarray:
-    """``rows`` with ``counts`` added from row ``first`` on; Python ints once either holds them."""
-    if object in (rows.dtype, counts.dtype):
+    """``rows`` with ``counts`` added from row ``first`` on.
+
+    Only row ``first`` can hold counts already, carried over from earlier
+    batches of the same trial.  The rows turn to Python ints once either
+    array holds them or a carried sum would pass int64, where numpy's
+    in-place add would wrap around.
+    """
+    carried = map(operator.add, rows[first].tolist(), counts[0].tolist())
+    if object in (rows.dtype, counts.dtype) or max(carried) >= 2**63:
         rows, counts = rows.astype(object, copy=False), counts.astype(object, copy=False)
     rows[first:first + len(counts)] += counts
     return rows
@@ -391,16 +395,15 @@ def _trial_generators(seed: int, trials: int):
 
 def _walk_trials(policy: GrowthPolicy, p_block: float, eta_prime: float, rngs,
                  trials: int) -> tuple:
-    """Run one growth trial per generator; return (rows, ends).
+    """Run one growth trial per generator; return (rows, ends, won).
 
-    ``rows[t]`` holds the counters of trial t in ``_COLUMNS`` order and
-    ``ends[t]`` its final slot state (a, b).  Each trial draws uniforms from
+    ``rows[t]`` holds the counters of trial t in ``_COLUMNS`` order,
+    ``ends[t]`` its final slot state (a, b) and ``won[t]`` whether that
+    state is absorbed, i.e. the trial reached the target.  Each trial draws uniforms from
     its generator in chunks of ``_DRAW_CHUNK``, one per step, packs their
     link bits ``u < q`` into bytes and walks its cached transition graph one
     byte, 8 steps, per lookup; where the step cap cuts a byte, the walk ends
-    with a tail entry of the steps left.  The first chunk walks its first
-    ``_HEAD`` bytes alone and the rest only if the trial is not absorbed by
-    then, since most short trials end inside the head.  A trial ends on an
+    with a tail entry of the steps left.  A trial ends on an
     absorbed node or at the cap, and only the byte steps up to its
     absorption are kept.  The table columns and uniforms of consecutive
     trials are buffered and tallied together every ``_TALLY_BYTES`` byte
@@ -416,7 +419,7 @@ def _walk_trials(policy: GrowthPolicy, p_block: float, eta_prime: float, rngs,
     absorbed = graph.absorbed
     log_miss = math.log1p(-p_block) if p_block < 1.0 else 0.0
     rows = np.zeros((trials, _COLUMNS), np.int64)
-    ends = []
+    ends, won = [], []
     # the buffer holds the byte steps of trials first, first + 1, ...
     ids, uniforms, starts, first = [], [], [], 0
     for t, rng in enumerate(rngs):
@@ -430,12 +433,8 @@ def _walk_trials(policy: GrowthPolicy, p_block: float, eta_prime: float, rngs,
             u = rng.random(_DRAW_CHUNK)
             data = np.packbits(u < q, bitorder="little").tobytes()
             walked = data[:left // _BYTE]  # all of it unless the cap cuts the chunk
-            head = _HEAD if left == policy.step_cap else len(walked)
-            path = graph.walk(node, walked[:head])
+            path = graph.walk(node, walked)
             node = path[-1]
-            if len(walked) > head and not absorbed[node[_CODE]]:
-                path[-1:] = graph.walk(node, walked[head:])
-                node = path[-1]
             code = node[_CODE]
             kept = len(walked)
             if absorbed[code]:
@@ -459,9 +458,10 @@ def _walk_trials(policy: GrowthPolicy, p_block: float, eta_prime: float, rngs,
             if absorbed[code] or left <= 0:
                 break
         ends.append(graph.states[code])
+        won.append(absorbed[code])
     if ids:
         rows = _added(rows, first, _tally(graph, log_miss, ids, uniforms, starts))
-    return rows, ends
+    return rows, ends, won
 
 
 def _inventory(row: np.ndarray, end) -> ClusterInventory:
@@ -485,8 +485,8 @@ def run_trial(policy: GrowthPolicy, p_block: float, eta_prime: float,
     uniform is consumed per step from chunks of ``_DRAW_CHUNK``, so results
     are deterministic for a given generator state.
     """
-    rows, (end,) = _walk_trials(policy, p_block, eta_prime, [rng], 1)
-    return max(end) >= policy.target_size, _inventory(rows[0], end)
+    rows, (end,), (won,) = _walk_trials(policy, p_block, eta_prime, [rng], 1)
+    return won, _inventory(rows[0], end)
 
 
 @dataclass(frozen=True)
@@ -564,8 +564,8 @@ def simulate_growth(policy: GrowthPolicy, eta: float, eta_prime: float,
         raise ValueError("trials must be >= 1")
     p_block, _ = growth_rates(policy, eta, eta_prime)
 
-    rows, ends = _walk_trials(policy, p_block, eta_prime, _trial_generators(seed, trials),
-                              trials)
+    rows, ends, won = _walk_trials(policy, p_block, eta_prime,
+                                   _trial_generators(seed, trials), trials)
     ends = np.array(ends, np.int64)
     blocks, gens, links, wins, measured, dropped, steps = rows.T
     # every trial's qubit ledger, as ClusterInventory.assert_ledger_balanced checks one
@@ -573,7 +573,7 @@ def simulate_growth(policy: GrowthPolicy, eta: float, eta_prime: float,
     if broken.size:
         t = int(broken[0])
         _inventory(rows[t], ends[t]).assert_ledger_balanced(policy.block_size)
-    successes = int(np.count_nonzero((ends >= policy.target_size).any(axis=1)))
+    successes = sum(won)
     link_successes = int(wins.sum())
     link_attempts = int(links.sum())
 

@@ -302,10 +302,10 @@ def test_simulate_growth_matches_reference_growth(policy, eta, eta_prime, trials
     assert got == reference_growth(policy, eta, eta_prime, seed=19, trials=trials)
 
 
-def test_simulate_growth_matches_reference_growth_around_the_head():
-    # the first chunk walks its 8-byte head (64 steps) alone: trials absorbed
-    # on the last step of the head and one step either side of it, and caps
-    # that fall inside the head
+def test_simulate_growth_matches_reference_growth_around_the_eighth_byte():
+    # trials absorbed on the last step of the first chunk's eighth byte (64
+    # steps) and one step either side of it, and caps that fall inside or at
+    # the end of those bytes
     policy = GrowthPolicy(4, 8)
     p_block, _ = growth.growth_rates(policy, 0.9, 0.875)
     ends = set()
@@ -435,6 +435,26 @@ def test_walk_buffers_a_bounded_number_of_steps(monkeypatch):
     assert len(tallied) > 10
     chunk = growth._DRAW_CHUNK // growth._BYTE
     assert max(tallied) < growth._TALLY_BYTES + chunk
+
+
+def test_attempts_carried_across_tallies_stay_exact_past_int64(monkeypatch):
+    # p_block 3e-14: a tally of one chunk adds about 3e15 attempts, under the
+    # 2^53 that keeps a batch in int64, while the trial's total passes 2^63
+    policy = GrowthPolicy(4, 20, 800_000)
+    want = reference_trial(policy, 3e-14, 1e-6, np.random.default_rng(5))
+    assert want[1].generation_attempts >= 2**63
+    dtypes = []
+    tally = growth._tally
+
+    def recording(*args):
+        counts = tally(*args)
+        dtypes.append(counts.dtype)
+        return counts
+
+    monkeypatch.setattr(growth, "_tally", recording)
+    monkeypatch.setattr(growth, "_TALLY_BYTES", 1)
+    assert run_trial(policy, 3e-14, 1e-6, np.random.default_rng(5)) == want
+    assert len(dtypes) > 1000 and set(dtypes) == {np.dtype(np.int64)}
 
 
 SEEDS = (0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 3, 2**96, 2**128 + 5)
