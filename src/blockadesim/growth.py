@@ -399,12 +399,12 @@ def _walk_trials(policy: GrowthPolicy, p_block: float, eta_prime: float, rngs,
 
     ``rows[t]`` holds the counters of trial t in ``_COLUMNS`` order,
     ``ends[t]`` its final slot state (a, b) and ``won[t]`` whether that
-    state is absorbed, i.e. the trial reached the target.  Each trial draws uniforms from
-    its generator in chunks of ``_DRAW_CHUNK``, one per step, packs their
-    link bits ``u < q`` into bytes and walks its cached transition graph one
-    byte, 8 steps, per lookup; where the step cap cuts a byte, the walk ends
-    with a tail entry of the steps left.  A trial ends on an
-    absorbed node or at the cap, and only the byte steps up to its
+    state is absorbed, i.e. the trial reached the target.  Each trial draws
+    uniforms from its generator in chunks of ``_DRAW_CHUNK``, one per step,
+    packs their link bits ``u < q`` into bytes and walks its cached
+    transition graph one byte, 8 steps, per lookup; where the step cap cuts
+    a byte, the walk ends with a tail entry of the steps left.  A trial ends
+    on an absorbed node or at the cap, and only the byte steps up to its
     absorption are kept.  The table columns and uniforms of consecutive
     trials are buffered and tallied together every ``_TALLY_BYTES`` byte
     steps.  Block generation attempts are geometric with the chain
