@@ -445,9 +445,7 @@ def _handle_grow(params: dict, seed: int) -> tuple:
         target_size=params["target"],
         step_cap=params["cap"],
     )
-    stats = growth_mod.simulate_growth(policy, params["eta"], params["eta_prime"],
-                                       seed, params["trials"])
-    results = stats.to_json_dict()
+    # the Markov solve runs first, so an input it refuses fails before any trial
     markov = None
     if policy.target_size <= growth_mod.MARKOV_MAX_TARGET:
         cost = growth_mod.expected_cost_markov(policy, params["eta"], params["eta_prime"])
@@ -457,6 +455,9 @@ def _handle_grow(params: dict, seed: int) -> tuple:
             "generation_attempts": cost.generation_attempts,
             "steps": cost.steps,
         }
+    stats = growth_mod.simulate_growth(policy, params["eta"], params["eta_prime"],
+                                       seed, params["trials"])
+    results = stats.to_json_dict()
     results["markov"] = markov
     row = {
         "block_size": policy.block_size,

@@ -5,6 +5,9 @@ A logical qubit lives in the ground/storage pair of one ensemble register:
 weight outside that pair, because during the optical protocol the same
 register transits "e" and "r1" where the logical gate set is meaningless.
 
+Every map here acts on pure states (``HybridState``) only; a density
+operator is formed at the edge, after detection, and never passed back in.
+
 ``blockade_absorb`` is the interaction step: an ensemble in "e" coherently
 absorbs one photon from a mode and climbs to "r1" with amplitude
 sqrt(p_absorption).  A register already in "r1" blocks further absorption
@@ -20,7 +23,6 @@ from dataclasses import dataclass
 
 from .state_algebra import (
     ATOL_STATE,
-    DensityOperator,
     EnsembleQudit,
     HybridState,
     OpticalMode,
@@ -45,8 +47,10 @@ class AbsorptionModel:
         return 1.0 - self.p_absorption
 
 
-def _require_qudit(obj, index: int) -> EnsembleQudit:
-    subs = obj.subsystems
+def _require_qudit(state, index: int) -> EnsembleQudit:
+    if not isinstance(state, HybridState):
+        raise TypeError(f"expected HybridState, got {type(state).__name__}")
+    subs = state.subsystems
     if not 0 <= index < len(subs):
         raise ValueError(f"ensemble index {index} out of range")
     sub = subs[index]
@@ -55,75 +59,56 @@ def _require_qudit(obj, index: int) -> EnsembleQudit:
     return sub
 
 
-def _weight_outside_logical(obj, index: int) -> float:
-    if isinstance(obj, HybridState):
-        return sum(
-            (a * a.conjugate()).real
-            for k, a in obj.amplitudes.items()
-            if k[index] not in LOGICAL_LEVELS
-        )
+def _weight_outside_logical(state: HybridState, index: int) -> float:
     return sum(
-        v.real
-        for (ket, bra), v in obj.elements.items()
-        if ket == bra and ket[index] not in LOGICAL_LEVELS
+        (a * a.conjugate()).real
+        for k, a in state.amplitudes.items()
+        if k[index] not in LOGICAL_LEVELS
     )
 
 
-def _apply_level_map(obj, index: int, level_map: dict):
-    """Linear map on one ensemble register, for states and operators alike.
+def _apply_level_map(state: HybridState, index: int, level_map: dict) -> HybridState:
+    """Linear map on one ensemble register of a pure state.
 
     ``level_map`` sends a level to a tuple of (level, coefficient) branches.
     Levels missing from the map pass through unchanged.
     """
-    if isinstance(obj, HybridState):
-        out = {}
-        for key, amp in obj.amplitudes.items():
-            for level, coeff in level_map.get(key[index], ((key[index], 1.0),)):
-                new = key[:index] + (level,) + key[index + 1:]
-                out[new] = out.get(new, 0.0) + coeff * amp
-        return HybridState._trusted(obj.subsystems, out)
-    if isinstance(obj, DensityOperator):
-        out = {}
-        for (ket, bra), v in obj.elements.items():
-            for kl, kc in level_map.get(ket[index], ((ket[index], 1.0),)):
-                for bl, bc in level_map.get(bra[index], ((bra[index], 1.0),)):
-                    pair = (
-                        ket[:index] + (kl,) + ket[index + 1:],
-                        bra[:index] + (bl,) + bra[index + 1:],
-                    )
-                    out[pair] = out.get(pair, 0.0) + kc * complex(bc).conjugate() * v
-        return DensityOperator._trusted(obj.subsystems, out)
-    raise TypeError(f"expected HybridState or DensityOperator, got {type(obj).__name__}")
+    out = {}
+    for key, amp in state.amplitudes.items():
+        for level, coeff in level_map.get(key[index], ((key[index], 1.0),)):
+            new = key[:index] + (level,) + key[index + 1:]
+            out[new] = out.get(new, 0.0) + coeff * amp
+    return HybridState._trusted(state.subsystems, out)
 
 
-def _logical_gate(obj, index: int, level_map: dict):
-    _require_qudit(obj, index)
-    leak = _weight_outside_logical(obj, index)
+def _logical_gate(state, index: int, level_map: dict):
+    _require_qudit(state, index)
+    leak = _weight_outside_logical(state, index)
     if leak > ATOL_STATE:
         raise ValueError(
             f"logical gate on register {index} with weight {leak:.3g} outside g/s"
         )
-    return _apply_level_map(obj, index, level_map)
+    return _apply_level_map(state, index, level_map)
 
 
-def gate_x(obj, index: int):
+def gate_x(state: HybridState, index: int) -> HybridState:
     """Logical bit flip g <-> s."""
-    return _logical_gate(obj, index, {"g": (("s", 1.0),), "s": (("g", 1.0),)})
+    return _logical_gate(state, index, {"g": (("s", 1.0),), "s": (("g", 1.0),)})
 
 
-def gate_h(obj, index: int):
+def gate_h(state: HybridState, index: int) -> HybridState:
     """Logical Hadamard on the g/s pair."""
     r = 1.0 / math.sqrt(2.0)
     return _logical_gate(
-        obj, index, {"g": (("g", r), ("s", r)), "s": (("g", r), ("s", -r))}
+        state, index, {"g": (("g", r), ("s", r)), "s": (("g", r), ("s", -r))}
     )
 
 
-def gate_phase(obj, index: int, phi: float):
+def gate_phase(state: HybridState, index: int, phi: float) -> HybridState:
     """Logical rotation about Z: g -> exp(-i phi/2) g, s -> exp(+i phi/2) s."""
     lo = cmath.exp(-0.5j * phi)
     hi = cmath.exp(0.5j * phi)
-    return _logical_gate(obj, index, {"g": (("g", lo),), "s": (("s", hi),)})
+    return _logical_gate(state, index, {"g": (("g", lo),), "s": (("s", hi),)})
 
 
 def blockade_absorb(state: HybridState, ensemble: int, mode: int, absorption: AbsorptionModel) -> HybridState:
@@ -173,48 +158,23 @@ def blockade_absorb(state: HybridState, ensemble: int, mode: int, absorption: Ab
     return result
 
 
-def transfer_to_storage(obj, index: int):
+def transfer_to_storage(state: HybridState, index: int) -> HybridState:
     """Map the optical pair to the storage pair: e -> g, r1 -> s.
 
     Storage labels already present pass through.  This is a relabelling, not
     a unitary on the full qudit: if a relabelled component lands on a label
-    another component already occupies, amplitudes would mix and the norm
-    check below could not save us, so that case raises instead.
+    another component already occupies, amplitudes would mix, so that case
+    raises instead.
     """
-    if not isinstance(obj, (HybridState, DensityOperator)):
-        raise TypeError(
-            f"expected HybridState or DensityOperator, got {type(obj).__name__}"
-        )
-    _require_qudit(obj, index)
+    _require_qudit(state, index)
     mapping = {"e": "g", "r1": "s", "g": "g", "s": "s"}
-
-    def relabel(key):
-        return key[:index] + (mapping[key[index]],) + key[index + 1:]
-
-    if isinstance(obj, HybridState):
-        sources = {}
-        for key in obj.amplitudes:
-            new = relabel(key)
-            prev = sources.setdefault(new, key)
-            if prev != key:
-                raise ValueError(
-                    f"storage transfer collides on {new!r} "
-                    f"(register {index} holds both optical and storage weight)"
-                )
-        return HybridState._trusted(
-            obj.subsystems, {relabel(k): a for k, a in obj.amplitudes.items()}
-        )
-    kets = {k for k, _ in obj.elements} | {b for _, b in obj.elements}
-    sources = {}
-    for key in kets:
-        new = relabel(key)
-        prev = sources.setdefault(new, key)
-        if prev != key:
+    out = {}
+    for key, amp in state.amplitudes.items():
+        new = key[:index] + (mapping[key[index]],) + key[index + 1:]
+        if new in out:
             raise ValueError(
                 f"storage transfer collides on {new!r} "
                 f"(register {index} holds both optical and storage weight)"
             )
-    return DensityOperator._trusted(
-        obj.subsystems,
-        {(relabel(k), relabel(b)): v for (k, b), v in obj.elements.items()},
-    )
+        out[new] = amp
+    return HybridState._trusted(state.subsystems, out)

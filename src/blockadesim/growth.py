@@ -666,7 +666,11 @@ def expected_cost_markov(policy: GrowthPolicy, eta: float, eta_prime: float) -> 
         for prob, nxt in nexts:
             if prob > 0.0 and not absorbed(nxt):
                 p_mat[i, index[nxt]] += prob
-    solution = np.linalg.solve(np.eye(n) - p_mat, c_mat)
+    try:
+        solution = np.linalg.solve(np.eye(n) - p_mat, c_mat)
+    except np.linalg.LinAlgError:
+        raise ValueError(f"the Markov solve is singular at eta_prime = {eta_prime!r}, "
+                         f"target {target}") from None
     e = solution[index[start]]
     return ExpectedCost(blocks=float(e[0]), link_attempts=float(e[1]),
                         generation_attempts=float(e[2]), steps=float(e[3]))

@@ -27,9 +27,12 @@ Four-qubit chain
 ----------------
 Two pair stages run in parallel and their output ports are cross-recombined
 (port 1 with port 3, port 2 with port 4) before detection.  Exactly four
-two-click patterns are accepted; each comes with a fixed local correction
+two-click patterns are accepted; each comes with a fixed local correction C
 (bit flips plus one pi phase) mapping the conditional state onto the
-canonical (|gggg> + |ssss>) / sqrt(2).  Acceptance probability is eta^2 / 2.
+canonical |GHZ> = (|gggg> + |ssss>) / sqrt(2).  Acceptance probability is
+eta^2 / 2.  The correction is applied to the target: since
+<GHZ| C rho C^dagger |GHZ> = <C^dagger GHZ| rho |C^dagger GHZ>, each
+conditional state is scored against the pure state C^dagger |GHZ>.
 
 Register reduction
 ------------------
@@ -396,16 +399,30 @@ def ghz_pre_detection_state(absorption: AbsorptionModel) -> HybridState:
     return beam_splitter(state, 5, 7)
 
 
-def apply_corrections(rho, corrections):
-    """Apply a GHZ correction listing to a state or operator over (A, B, C, D)."""
+def apply_corrections(state: HybridState, corrections) -> HybridState:
+    """Apply a GHZ correction listing to a pure state over (A, B, C, D)."""
     for op in corrections:
         if op[0] == "x":
-            rho = gate_x(rho, op[1])
+            state = gate_x(state, op[1])
         elif op[0] == "phase":
-            rho = gate_phase(rho, op[1], op[2])
+            state = gate_phase(state, op[1], op[2])
         else:
             raise ValueError(f"unknown correction {op!r}")
-    return rho
+    return state
+
+
+def _corrected_targets() -> dict:
+    """{corrections: C^dagger |GHZ>} for each distinct correction C, () included.
+
+    The inverse gates run in reverse order: X is its own inverse, and the
+    phase rotation by -phi undoes the one by phi.
+    """
+    ghz = canonical_ghz()
+    return {
+        corrections: apply_corrections(ghz, tuple(
+            op if op[0] == "x" else (op[0], op[1], -op[2]) for op in reversed(corrections)))
+        for corrections in {(), *GHZ_CORRECTIONS.values()}
+    }
 
 
 @dataclass(frozen=True)
@@ -415,7 +432,6 @@ class GhzBranch:
     accepted: bool
     conditional_state: Optional[DensityOperator]  # storage basis, (A, B, C, D)
     corrections: tuple
-    corrected_state: Optional[DensityOperator]
     fidelity: Optional[float]
 
 
@@ -443,10 +459,11 @@ def ghz4_exact(absorption: AbsorptionModel = AbsorptionModel(),
     """Full outcome enumeration of the four-qubit chain protocol.
 
     Detector D1 watches port 1, D2 port 2, D3 port 4, D4 port 3 (the two
-    cross-recombiners feed (D1, D4) and (D2, D3) respectively).  Accepted
-    patterns get their correction applied; every pattern's raw conditional
-    state is reported for diagnostics.  The conditional states are mixed
-    from the cached register branches (see the module docstring).
+    cross-recombiners feed (D1, D4) and (D2, D3) respectively).  Each
+    pattern's fidelity is that of its corrected state, scored against its
+    corrected target (see the module docstring); every pattern's raw
+    conditional state is reported for diagnostics.  The conditional states
+    are mixed from the cached register branches.
     """
     pre, groups = _register_groups(ghz_pre_detection_state, GHZ_DETECTED_MODES, absorption)
     table = detect_all_probabilities(groups, GHZ_DETECTED_MODES, detector)
@@ -454,22 +471,19 @@ def ghz4_exact(absorption: AbsorptionModel = AbsorptionModel(),
     accepted = []
     rejected = []
     success = 0.0
-    target = canonical_ghz()
+    targets = _corrected_targets()
     for pattern, (prob, conditional) in sorted(table.items()):
         is_accepted = pattern in ACCEPTED_GHZ_PATTERNS
-        corrected = None
-        fid = None
         corrections = GHZ_CORRECTIONS.get(pattern, ())
+        fid = None
         if conditional is not None:
-            corrected = apply_corrections(conditional, corrections)
-            fid = fidelity(corrected, target)
+            fid = fidelity(conditional, targets[corrections])
         branch = GhzBranch(
             pattern=pattern,
             probability=prob,
             accepted=is_accepted,
             conditional_state=conditional,
             corrections=corrections,
-            corrected_state=corrected,
             fidelity=fid,
         )
         if is_accepted:

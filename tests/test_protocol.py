@@ -1,6 +1,8 @@
+import cmath
 import json
 import math
 
+import numpy as np
 import pytest
 
 from blockadesim import protocol
@@ -129,12 +131,14 @@ def test_entangle_dark_counts_degrade_fidelity():
 
 @pytest.mark.parametrize("policy", list(HeraldPolicy))
 def test_entangle_conditional_states_match_sequential_detection_chain(policy):
-    # oracle: full density operator, detector on port 1 then on port 2, the
-    # policy's click records mixed, then reduction to (A, B) and storage transfer
+    # oracle: storage transfer of the pure state (registers only), then the
+    # full density operator, detector on port 1 then on port 2, the policy's
+    # click records mixed, then reduction to (A, B)
     absorption = AbsorptionModel(0.9)
     det = DetectorModel(efficiency=0.7, dark_count_rate_hz=2e4, gate_time_s=5e-6)
+    stored = transfer_to_storage(transfer_to_storage(pair_pre_detection_state(absorption), 0), 1)
     joint = {}
-    for c1, p1, post1 in detect_outcomes(pair_pre_detection_state(absorption), 2, det):
+    for c1, p1, post1 in detect_outcomes(DensityOperator.from_pure(stored), 2, det):
         if post1 is not None:
             for c2, p2, post2 in detect_outcomes(post1, 3, det):
                 if post2 is not None:
@@ -149,7 +153,6 @@ def test_entangle_conditional_states_match_sequential_detection_chain(policy):
         mix = [(p, post) for (c1, c2), (p, post) in joint.items() if heralded(c1, c2)]
         prob = sum(p for p, _ in mix)
         want = partial_trace(DensityOperator.mixture(mix).scaled(1.0 / prob), (0, 1))
-        want = transfer_to_storage(transfer_to_storage(want, 0), 1)
         branch = out.branch(which)
         assert branch.probability == pytest.approx(prob, abs=1e-12)
         got = branch.conditional_state
@@ -220,8 +223,6 @@ def test_ghz_ideal_success_and_fidelity():
     for branch in out.accepted:
         assert branch.probability == pytest.approx(0.125, abs=1e-12)
         assert branch.fidelity == pytest.approx(1.0, abs=1e-10)
-        assert fidelity(branch.corrected_state, canonical_ghz()) == pytest.approx(
-            1.0, abs=1e-10)
 
 
 def test_ghz_corrections_are_necessary():
@@ -274,10 +275,42 @@ def test_ghz_outcome_enumeration_is_complete():
         out.branch((True, True, True, True))
 
 
-def test_ghz_conditional_states_match_sequential_detection_chain():
-    # oracle: full density operator, one detector at a time on the modes of
-    # D1..D4, then reduction to the registers and storage transfer
-    absorption, det = AbsorptionModel(0.9), DetectorModel(efficiency=0.7)
+def _dense_correction(corrections):
+    """A pattern's correction as a 16x16 matrix over (A, B, C, D), basis (g, s)."""
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    total = np.eye(16, dtype=complex)
+    for op in corrections:
+        if op[0] == "x":
+            local = x
+        else:
+            local = np.diag([cmath.exp(-0.5j * op[2]), cmath.exp(0.5j * op[2])])
+        factors = [np.eye(2)] * 4
+        factors[op[1]] = local
+        gate = factors[0]
+        for f in factors[1:]:
+            gate = np.kron(gate, f)
+        total = gate @ total
+    return total
+
+
+def _dense_registers(rho):
+    """Register density operator in the storage basis as a 16x16 matrix."""
+    def index(key):
+        return sum(("g", "s").index(level) << (3 - i) for i, level in enumerate(key))
+
+    dense = np.zeros((16, 16), dtype=complex)
+    for (ket, bra), v in rho.elements.items():
+        dense[index(ket), index(bra)] += v
+    return dense
+
+
+def _sequential_ghz_reference(absorption, det):
+    """{pattern: (probability, post-detection operator)}, one detector at a time.
+
+    Storage transfer acts on the pure pre-detection state (registers only),
+    then each detector of D1..D4 conditions the full density operator in
+    turn.
+    """
     modes = (4, 5, 7, 6)
     reference = {}
 
@@ -290,25 +323,42 @@ def test_ghz_conditional_states_match_sequential_detection_chain():
             else:
                 reference[prefix + (outcome,)] = (prob * q, post)
 
-    descend(DensityOperator.from_pure(ghz_pre_detection_state(absorption)), 0, (), 1.0)
-    out = ghz4_exact(absorption, det)
-    reduced = [b for b in out.accepted + out.rejected if b.conditional_state is not None]
-    assert {b.pattern for b in reduced} == set(reference)
-    for branch in reduced:
-        prob, post = reference[branch.pattern]
-        assert branch.probability == pytest.approx(prob, abs=1e-12)
-        want = partial_trace(post, (0, 1, 2, 3))
-        for reg in range(4):
-            want = transfer_to_storage(want, reg)
-        got = branch.conditional_state
-        for ket, bra in set(want.elements) | set(got.elements):
-            assert got.element(ket, bra) == pytest.approx(want.element(ket, bra), abs=1e-12)
+    stored = ghz_pre_detection_state(absorption)
+    for reg in range(4):
+        stored = transfer_to_storage(stored, reg)
+    descend(DensityOperator.from_pure(stored), 0, (), 1.0)
+    return reference
+
+
+def test_ghz_conditional_states_match_sequential_detection_chain():
+    # the sequential reference reduced to the registers must give every
+    # pattern's probability and conditional state, and, corrected by dense
+    # matrices built here, every accepted pattern's fidelity
+    ghz = np.zeros(16)
+    ghz[[0, 15]] = RT2
+    for p_abs, eta, dark_rate in ((0.9, 0.7, 0.0), (0.97, 0.5, 3e4)):
+        absorption = AbsorptionModel(p_abs)
+        det = DetectorModel(efficiency=eta, dark_count_rate_hz=dark_rate, gate_time_s=5e-6)
+        reference = _sequential_ghz_reference(absorption, det)
+        out = ghz4_exact(absorption, det)
+        reduced = [b for b in out.accepted + out.rejected if b.conditional_state is not None]
+        assert {b.pattern for b in reduced} == set(reference)
+        for branch in reduced:
+            prob, post = reference[branch.pattern]
+            assert branch.probability == pytest.approx(prob, abs=1e-12)
+            want = partial_trace(post, (0, 1, 2, 3))
+            got = branch.conditional_state
+            for ket, bra in set(want.elements) | set(got.elements):
+                assert got.element(ket, bra) == pytest.approx(want.element(ket, bra), abs=1e-12)
+            if branch.accepted:
+                c = _dense_correction(branch.corrections)
+                corrected = c @ _dense_registers(want) @ c.conj().T
+                assert branch.fidelity == pytest.approx((ghz @ corrected @ ghz).real, abs=1e-12)
 
 
 def _ghz_summary(out):
     return [(b.pattern, b.probability, b.fidelity,
-             None if b.conditional_state is None else dict(b.conditional_state.elements),
-             None if b.corrected_state is None else dict(b.corrected_state.elements))
+             None if b.conditional_state is None else dict(b.conditional_state.elements))
             for b in out.accepted + out.rejected]
 
 
