@@ -15,19 +15,18 @@ from .state_algebra import (
     OpticalMode,
     fidelity,
     partial_trace,
-    tensor,
 )
 from .optics import (
     DetectorModel,
     beam_splitter,
     detect_all_probabilities,
     detect_outcomes,
+    group_occupations,
     phase_shift,
 )
 from .ensemble import (
     AbsorptionModel,
     blockade_absorb,
-    gate_h,
     gate_phase,
     gate_x,
     transfer_to_storage,
@@ -79,16 +78,15 @@ __all__ = [
     "entangle_pair_sampled",
     "expected_cost_markov",
     "fidelity",
-    "gate_h",
     "gate_phase",
     "gate_x",
     "ghz4_exact",
     "ghz_success_probability",
+    "group_occupations",
     "link_success_probability",
     "partial_trace",
     "phase_shift",
     "preset",
     "simulate_growth",
-    "tensor",
     "transfer_to_storage",
 ]

@@ -41,11 +41,6 @@ class AbsorptionModel:
         if not 0.0 <= self.p_absorption <= 1.0:
             raise ValueError(f"p_absorption must be in [0, 1], got {self.p_absorption}")
 
-    @property
-    def epsilon(self) -> float:
-        """Miss probability 1 - p_absorption (the protocol's error knob)."""
-        return 1.0 - self.p_absorption
-
 
 def _require_qudit(state, index: int) -> EnsembleQudit:
     if not isinstance(state, HybridState):
@@ -94,14 +89,6 @@ def _logical_gate(state, index: int, level_map: dict):
 def gate_x(state: HybridState, index: int) -> HybridState:
     """Logical bit flip g <-> s."""
     return _logical_gate(state, index, {"g": (("s", 1.0),), "s": (("g", 1.0),)})
-
-
-def gate_h(state: HybridState, index: int) -> HybridState:
-    """Logical Hadamard on the g/s pair."""
-    r = 1.0 / math.sqrt(2.0)
-    return _logical_gate(
-        state, index, {"g": (("g", r), ("s", r)), "s": (("g", r), ("s", -r))}
-    )
 
 
 def gate_phase(state: HybridState, index: int, phi: float) -> HybridState:

@@ -615,9 +615,10 @@ def expected_cost_markov(policy: GrowthPolicy, eta: float, eta_prime: float) -> 
     """Exact expected growth costs by absorbing-Markov-chain solve.
 
     Inventory states are sorted size tuples (at most two entries, see module
-    docstring).  For each cost metric c the expectations obey
-    E[state] = c(state) + sum_next P(next|state) E[next]; solving the linear
-    system for all transient states at once gives the exact values.
+    docstring).  Expected blocks and link attempts obey E[state] = c(state)
+    + sum_next P(next|state) E[next], one linear solve over all transient
+    states.  Each step is a block or a link, so steps = blocks + links, and
+    generation attempts = blocks / p_block by Wald's identity.
     """
     if policy.target_size > MARKOV_MAX_TARGET:
         raise ValueError(
@@ -626,9 +627,9 @@ def expected_cost_markov(policy: GrowthPolicy, eta: float, eta_prime: float) -> 
     p_block, q = growth_rates(policy, eta, eta_prime)
     block = policy.block_size
     target = policy.target_size
-    # cost columns: blocks, link attempts, generation attempts, steps
-    draw_cost = np.array([1.0, 0.0, 1.0 / p_block, 1.0])
-    link_cost = np.array([0.0, 1.0, 0.0, 1.0])
+    # cost columns: blocks, link attempts
+    draw_cost = np.array([1.0, 0.0])
+    link_cost = np.array([0.0, 1.0])
 
     def absorbed(state: tuple) -> bool:
         return any(s >= target for s in state)
@@ -659,7 +660,7 @@ def expected_cost_markov(policy: GrowthPolicy, eta: float, eta_prime: float) -> 
 
     n = len(states)
     p_mat = np.zeros((n, n))
-    c_mat = np.zeros((n, 4))
+    c_mat = np.zeros((n, 2))
     for s, i in index.items():
         cost, nexts = transitions(s)
         c_mat[i] = cost
@@ -671,6 +672,6 @@ def expected_cost_markov(policy: GrowthPolicy, eta: float, eta_prime: float) -> 
     except np.linalg.LinAlgError:
         raise ValueError(f"the Markov solve is singular at eta_prime = {eta_prime!r}, "
                          f"target {target}") from None
-    e = solution[index[start]]
-    return ExpectedCost(blocks=float(e[0]), link_attempts=float(e[1]),
-                        generation_attempts=float(e[2]), steps=float(e[3]))
+    blocks, links = (float(x) for x in solution[index[start]])
+    return ExpectedCost(blocks=blocks, link_attempts=links,
+                        generation_attempts=blocks / p_block, steps=blocks + links)

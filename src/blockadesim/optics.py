@@ -24,10 +24,10 @@ in order.  The POVM is diagonal in the occupations, so a pure state splits
 into pure branches, one per occupation tuple of the detected modes
 (``group_occupations``, which depends on the state only), and a joint
 outcome is a weighted mixture of those branches (the weights depend on the
-detector only).  Branches stay pure; ``detect_all_probabilities``
-mixes them into density operators only for its result, with the measured
-modes left in vacuum.  ``detect_outcomes`` conditions one mode at a time on
-density operators and serves as the independent oracle of the joint table.
+detector only).  ``detect_all_probabilities`` takes that grouping and mixes
+its pure branches into density operators only for its result, the measured
+modes left in vacuum.  ``detect_outcomes`` conditions a density operator one
+mode at a time: the sampler's click distribution, and the joint table's oracle.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .state_algebra import (
     DensityOperator,
     HybridState,
     OpticalMode,
-    as_density,
+    require_density,
 )
 
 
@@ -87,18 +87,17 @@ def _require_mode(state, index: int) -> OpticalMode:
 
 
 @lru_cache(maxsize=None)
-def _splitter_column(m: int, n: int, sign: int) -> tuple:
-    """Output amplitudes for Fock input |m, n>; sign=-1 gives the inverse splitter.
+def _splitter_column(m: int, n: int) -> tuple:
+    """Output amplitudes for Fock input |m, n>.
 
-    Expanding ((a_j+ + s*i a_i+)/sqrt2)^m ((a_i+ + s*i a_j+)/sqrt2)^n |0,0>
+    Expanding ((a_j+ + i a_i+)/sqrt2)^m ((a_i+ + i a_j+)/sqrt2)^n |0,0>
     term by term gives, for output |p, q> with p + q = m + n,
 
         amp = sqrt(p! q! / (m! n!)) 2^{-(m+n)/2}
-              * sum_k C(m, k) C(n, p - k) (s*i)^{2k + n - p}
+              * sum_k C(m, k) C(n, p - k) i^{2k + n - p}
 
     Returns a tuple of ((p, q), amplitude) with exact-zero entries dropped.
     """
-    unit = 1j if sign > 0 else -1j
     total = m + n
     out = []
     for p in range(total + 1):
@@ -106,7 +105,7 @@ def _splitter_column(m: int, n: int, sign: int) -> tuple:
         acc = 0.0 + 0.0j
         for k in range(max(0, p - n), min(m, p) + 1):
             l = p - k
-            acc += math.comb(m, k) * math.comb(n, l) * unit ** (k + n - l)
+            acc += math.comb(m, k) * math.comb(n, l) * 1j ** (k + n - l)
         if acc == 0:
             continue
         amp = acc * math.sqrt(math.factorial(p) * math.factorial(q)
@@ -115,7 +114,7 @@ def _splitter_column(m: int, n: int, sign: int) -> tuple:
     return tuple(out)
 
 
-def beam_splitter(state: HybridState, mode_i: int, mode_j: int, *, inverse: bool = False) -> HybridState:
+def beam_splitter(state: HybridState, mode_i: int, mode_j: int) -> HybridState:
     """Balanced splitter on two modes of a pure state (see module docstring).
 
     Raises if any produced occupation would exceed a mode cutoff: losing
@@ -125,11 +124,10 @@ def beam_splitter(state: HybridState, mode_i: int, mode_j: int, *, inverse: bool
         raise ValueError("beam splitter needs two distinct modes")
     sub_i = _require_mode(state, mode_i)
     sub_j = _require_mode(state, mode_j)
-    sign = -1 if inverse else 1
     out = {}
     for key, amp in state.amplitudes.items():
         m, n = key[mode_i], key[mode_j]
-        for (p, q), coeff in _splitter_column(m, n, sign):
+        for (p, q), coeff in _splitter_column(m, n):
             if p > sub_i.cutoff or q > sub_j.cutoff:
                 raise ValueError(
                     f"beam splitter output |{p},{q}> exceeds cutoffs "
@@ -163,15 +161,15 @@ def _outcome_weights(det: DetectorModel, n: int) -> Mapping:
     return {False: 1.0 - p, True: p}
 
 
-def detect_outcomes(state, mode: int, det: DetectorModel) -> list:
-    """All single-detector outcomes on one mode.
+def detect_outcomes(rho: DensityOperator, mode: int, det: DetectorModel) -> list:
+    """All single-detector outcomes on one mode of a density operator.
 
     Returns ``[(click, probability, post_state_or_None), ...]`` in the order
     no click (``False``), click (``True``).  Post states are normalized
     density operators with the measured mode reset to vacuum; outcomes of
     probability zero carry ``None``.  Probabilities sum to the input trace.
     """
-    rho = as_density(state)
+    rho = require_density(rho)
     sub = _require_mode(rho, mode)
     weights = {n: _outcome_weights(det, n) for n in range(sub.cutoff + 1)}
 
@@ -267,23 +265,19 @@ def _pattern_weights(det: DetectorModel, cutoffs: Sequence, occupations: Sequenc
     return out
 
 
-def detect_all_probabilities(state, modes: Sequence, det: DetectorModel) -> dict:
+def detect_all_probabilities(groups: OccupationGroups, det: DetectorModel) -> dict:
     """Joint outcome table for one detector model watching several modes.
 
-    ``state`` is a pure state, or its ``group_occupations(state, modes)``
-    (possibly with the branches mapped), which lets one grouping serve many
-    detector models.  Returns ``{clicks: (probability, post_state_or_None)}``
-    over every tuple of clicks, one bool per mode in the order of ``modes``;
-    probabilities sum to the input norm.  Post states are normalized density
-    operators over the branches' register, every measured mode reset to
-    vacuum.
+    ``groups`` is a ``group_occupations(state, modes)`` (possibly with the
+    branches mapped), so one grouping serves many detector models.  Returns
+    ``{clicks: (probability, post_state_or_None)}`` over every tuple of
+    clicks, one bool per mode in the order of ``groups.modes``;
+    probabilities sum to the grouped state's norm.  Post states are
+    normalized density operators over the branches' register, every
+    measured mode reset to vacuum.
     """
-    if isinstance(state, OccupationGroups):
-        groups = state
-        if groups.modes != tuple(modes):
-            raise ValueError(f"grouping is over modes {groups.modes}, not {tuple(modes)}")
-    else:
-        groups = group_occupations(state, modes)
+    if not isinstance(groups, OccupationGroups):
+        raise TypeError(f"expected OccupationGroups, got {type(groups).__name__}")
     branches = [branch for _, branch in groups.branches]
     norms = [branch.norm_squared() for branch in branches]
     outers = [[((ket, bra), a * b.conjugate()) for ket, a in branch for bra, b in branch]

@@ -43,8 +43,8 @@ detected ports, and each branch, a pure state of the registers once the
 ports are vacuum, drops the ports (``_register_groups``).  That grouping
 depends on the circuit and the absorption model only and is cached, so a
 sweep over detector models builds and groups each state once; each detector
-model then only re-weights the branches into per-pattern register states,
-the one place a density operator is formed.
+model then only re-weights the branches into per-pattern register states;
+only there and in the sampler's sequential oracle are density operators made.
 """
 
 from __future__ import annotations
@@ -139,7 +139,6 @@ def pair_pre_detection_state(absorption: AbsorptionModel) -> HybridState:
 class HeraldBranch:
     """One detector's herald branch of the pair protocol."""
 
-    detector: str
     probability: float
     conditional_state: Optional[DensityOperator]  # storage basis, registers (A, B)
     target_sign: int
@@ -153,13 +152,6 @@ class EntangleOutcome:
     up: HeraldBranch
     down: HeraldBranch
     pre_detection_state: HybridState
-
-    def branch(self, which: str) -> HeraldBranch:
-        if which == UP:
-            return self.up
-        if which == DOWN:
-            return self.down
-        raise ValueError(f"detector must be {UP!r} or {DOWN!r}, got {which!r}")
 
     @property
     def heralded_fidelity(self) -> Optional[float]:
@@ -212,7 +204,7 @@ def entangle_pair_exact(absorption: AbsorptionModel = AbsorptionModel(),
     """
     modes = (_PAIR_MODE_OF[UP], _PAIR_MODE_OF[DOWN])
     pre, groups = _register_groups(pair_pre_detection_state, modes, absorption)
-    table = detect_all_probabilities(groups, modes, detector)
+    table = detect_all_probabilities(groups, detector)
 
     def joint(first: bool, second: bool) -> tuple:
         return table[(first, second)]
@@ -238,7 +230,6 @@ def entangle_pair_exact(absorption: AbsorptionModel = AbsorptionModel(),
             conditional = None
             fid = None
         branches[which] = HeraldBranch(
-            detector=which,
             probability=prob,
             conditional_state=conditional,
             target_sign=_PAIR_SIGN_OF[which],
@@ -314,9 +305,9 @@ def entangle_pair_sampled(absorption: AbsorptionModel, detector: DetectorModel,
 
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    pre = pair_pre_detection_state(absorption)
+    rho = DensityOperator.from_pure(pair_pre_detection_state(absorption))
     joint = {(c1, c2): 0.0 for c1 in (False, True) for c2 in (False, True)}
-    for c1, p1, post1 in detect_outcomes(pre, _PAIR_MODE_OF[UP], detector):
+    for c1, p1, post1 in detect_outcomes(rho, _PAIR_MODE_OF[UP], detector):
         if post1 is None:
             continue
         for c2, p2, _ in detect_outcomes(post1, _PAIR_MODE_OF[DOWN], detector):
@@ -383,10 +374,10 @@ def ghz_register() -> tuple:
     )
 
 
-def canonical_ghz(n_registers: int = 4) -> HybridState:
-    subs = tuple(EnsembleQudit(name) for name in ("A", "B", "C", "D")[:n_registers])
+def canonical_ghz() -> HybridState:
+    subs = tuple(EnsembleQudit(name) for name in "ABCD")
     r = 1.0 / math.sqrt(2.0)
-    return HybridState(subs, {("g",) * n_registers: r, ("s",) * n_registers: r})
+    return HybridState(subs, {("g",) * 4: r, ("s",) * 4: r})
 
 
 def ghz_pre_detection_state(absorption: AbsorptionModel) -> HybridState:
@@ -414,7 +405,7 @@ def apply_corrections(state: HybridState, corrections) -> HybridState:
 def _corrected_targets() -> dict:
     """{corrections: C^dagger |GHZ>} for each distinct correction C, () included.
 
-    The inverse gates run in reverse order: X is its own inverse, and the
+    C^dagger undoes the gates in reverse order: X undoes itself, and the
     phase rotation by -phi undoes the one by phi.
     """
     ghz = canonical_ghz()
@@ -442,17 +433,6 @@ class GhzOutcome:
     rejected: tuple
     pre_detection_state: HybridState
 
-    @property
-    def accepted_patterns(self) -> frozenset:
-        return frozenset(b.pattern for b in self.accepted)
-
-    def branch(self, pattern) -> GhzBranch:
-        pattern = tuple(pattern)
-        for b in self.accepted + self.rejected:
-            if b.pattern == pattern:
-                return b
-        raise KeyError(f"no branch for pattern {pattern!r}")
-
 
 def ghz4_exact(absorption: AbsorptionModel = AbsorptionModel(),
                detector: DetectorModel = DetectorModel.ideal()) -> GhzOutcome:
@@ -466,7 +446,7 @@ def ghz4_exact(absorption: AbsorptionModel = AbsorptionModel(),
     are mixed from the cached register branches.
     """
     pre, groups = _register_groups(ghz_pre_detection_state, GHZ_DETECTED_MODES, absorption)
-    table = detect_all_probabilities(groups, GHZ_DETECTED_MODES, detector)
+    table = detect_all_probabilities(groups, detector)
 
     accepted = []
     rejected = []

@@ -17,7 +17,6 @@ for algebraic identities (norms, traces, hermiticity) and the looser
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -214,9 +213,6 @@ class HybridState:
             key=lambda item: _key_sort_index(self._subsystems, item[0]),
         )
 
-    def to_density(self) -> "DensityOperator":
-        return DensityOperator.from_pure(self)
-
     def allclose(self, other: "HybridState", atol: float = ATOL_STATE) -> bool:
         if not same_structure(self, other):
             return False
@@ -230,16 +226,6 @@ class HybridState:
         if len(self._amps) > 6:
             parts.append("...")
         return f"HybridState({' + '.join(parts) or '0'})"
-
-
-def tensor(a: HybridState, b: HybridState) -> HybridState:
-    """Tensor product; subsystem order is a's register followed by b's."""
-    subs = a.subsystems + b.subsystems
-    amps = {}
-    for ka, va in a.amplitudes.items():
-        for kb, vb in b.amplitudes.items():
-            amps[ka + kb] = va * vb
-    return HybridState._trusted(subs, amps)
 
 
 class DensityOperator:
@@ -289,11 +275,10 @@ class DensityOperator:
 
     @classmethod
     def mixture(cls, components: Iterable) -> "DensityOperator":
-        """Weighted sum of (weight, HybridState | DensityOperator) pairs."""
+        """Weighted sum of (weight, DensityOperator) pairs."""
         total = None
         for weight, part in components:
-            rho = part.to_density() if isinstance(part, HybridState) else part
-            term = rho.scaled(weight)
+            term = require_density(part).scaled(weight)
             total = term if total is None else total.add(term)
         if total is None:
             raise ValueError("mixture of zero components")
@@ -306,13 +291,6 @@ class DensityOperator:
     @property
     def elements(self) -> Mapping:
         return MappingProxyType(self._elems)
-
-    def element(self, ket, bra) -> complex:
-        pair = (
-            _canonical_key(self._subsystems, tuple(ket)),
-            _canonical_key(self._subsystems, tuple(bra)),
-        )
-        return self._elems.get(pair, 0.0 + 0.0j)
 
     def scaled(self, factor) -> "DensityOperator":
         factor = complex(factor)
@@ -347,66 +325,28 @@ class DensityOperator:
             acc += ak.conjugate() * v * ab
         return complex(acc)
 
-    def support_kets(self) -> list:
-        kets = {k for k, _ in self._elems} | {b for _, b in self._elems}
-        return sorted(kets, key=lambda k: _key_sort_index(self._subsystems, k))
-
-    def to_dense(self):
-        """Matrix on the support basis; returns (matrix, basis_kets)."""
-        import numpy as np
-
-        basis = self.support_kets()
-        index = {k: i for i, k in enumerate(basis)}
-        mat = np.zeros((len(basis), len(basis)), dtype=complex)
-        for (ket, bra), v in self._elems.items():
-            mat[index[ket], index[bra]] = v
-        return mat, basis
-
-    def min_eigenvalue(self) -> float:
-        import numpy as np
-
-        if not self._elems:
-            return 0.0
-        mat, _ = self.to_dense()
-        return float(np.linalg.eigvalsh(mat)[0])
-
-    def assert_valid(self, atol: float = ATOL_STATE, atol_psd: float = ATOL_PSD):
-        """Raise unless trace 1, hermitian, and positive semidefinite."""
-        tr = self.trace()
-        if abs(tr - 1.0) > atol:
-            raise ValueError(f"trace {tr} deviates from 1 beyond {atol}")
-        for (ket, bra), v in self._elems.items():
-            if abs(v - self._elems.get((bra, ket), 0.0).conjugate()) > atol:
-                raise ValueError(f"element ({ket},{bra}) breaks hermiticity")
-        lo = self.min_eigenvalue()
-        if lo < -atol_psd:
-            raise ValueError(f"negative eigenvalue {lo} below -{atol_psd}")
-
     def __repr__(self) -> str:
         return f"DensityOperator({len(self._elems)} elements, trace={self.trace():.4g})"
 
 
-def as_density(state) -> DensityOperator:
-    """Coerce a HybridState or DensityOperator to a DensityOperator."""
-    if isinstance(state, DensityOperator):
-        return state
-    if isinstance(state, HybridState):
-        return state.to_density()
-    raise TypeError(f"expected HybridState or DensityOperator, got {type(state).__name__}")
+def require_density(obj) -> DensityOperator:
+    if not isinstance(obj, DensityOperator):
+        raise TypeError(f"expected DensityOperator, got {type(obj).__name__}")
+    return obj
 
 
-def fidelity(rho, psi: HybridState) -> float:
+def fidelity(rho: DensityOperator, psi: HybridState) -> float:
     """Pure-target fidelity <psi|rho|psi>; for a pure state phi it is |<psi|phi>|^2."""
-    value = as_density(rho).expectation(psi)
+    value = require_density(rho).expectation(psi)
     if abs(value.imag) > ATOL_PSD:
         raise ValueError(f"fidelity came out non-real ({value}); operator not hermitian?")
     # clip float dust just outside [0, 1]
     return float(min(max(value.real, 0.0), 1.0))
 
 
-def partial_trace(rho, keep) -> DensityOperator:
+def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
     """Trace out all subsystems not listed in ``keep`` (order preserved)."""
-    rho = as_density(rho)
+    rho = require_density(rho)
     subs = rho.subsystems
     keep = tuple(keep)
     if len(set(keep)) != len(keep):
@@ -425,8 +365,3 @@ def partial_trace(rho, keep) -> DensityOperator:
         pair = (tuple(ket[i] for i in keep), tuple(bra[i] for i in keep))
         elems[pair] = elems.get(pair, 0.0) + v
     return DensityOperator._trusted(new_subs, elems)
-
-
-def basis_iter(subsystems) -> Iterator:
-    """Iterate the full product basis of a register (small registers only)."""
-    return itertools.product(*(sub.basis_labels() for sub in subsystems))

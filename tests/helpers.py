@@ -1,5 +1,7 @@
-"""Shared test utilities: random states, statistics and the reference growth trial."""
+"""Shared test utilities: state oracles, random states, statistics and the
+reference growth trial."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,11 +9,55 @@ import numpy as np
 from blockadesim.growth import ClusterInventory, GrowthStatistics, growth_rates
 from blockadesim.protocol import link_success_probability
 from blockadesim.state_algebra import (
+    ATOL_PSD,
+    ATOL_STATE,
     EnsembleQudit,
     HybridState,
     OpticalMode,
-    basis_iter,
 )
+
+
+def tensor(a, b):
+    """Tensor product; subsystem order is a's register followed by b's."""
+    return HybridState(a.subsystems + b.subsystems,
+                       {ka + kb: va * vb for ka, va in a for kb, vb in b})
+
+
+def basis_iter(subsystems):
+    """Iterate the full product basis of a register (small registers only)."""
+    return itertools.product(*(sub.basis_labels() for sub in subsystems))
+
+
+def element(rho, ket, bra):
+    """<ket| rho |bra>; labels as stored (strings and Python ints)."""
+    return rho.elements.get((tuple(ket), tuple(bra)), 0.0 + 0.0j)
+
+
+def min_eigenvalue(rho):
+    """Smallest eigenvalue of rho as a dense matrix on its support."""
+    elems = rho.elements
+    if not elems:
+        return 0.0
+    basis = sorted({k for k, _ in elems} | {b for _, b in elems}, key=repr)
+    index = {k: i for i, k in enumerate(basis)}
+    mat = np.zeros((len(basis), len(basis)), dtype=complex)
+    for (ket, bra), v in elems.items():
+        mat[index[ket], index[bra]] = v
+    return float(np.linalg.eigvalsh(mat)[0])
+
+
+def assert_valid(rho, atol=ATOL_STATE, atol_psd=ATOL_PSD):
+    """Raise unless rho has trace 1, is hermitian and is positive semidefinite."""
+    tr = rho.trace()
+    if abs(tr - 1.0) > atol:
+        raise ValueError(f"trace {tr} deviates from 1 beyond {atol}")
+    elems = rho.elements
+    for (ket, bra), v in elems.items():
+        if abs(v - elems.get((bra, ket), 0.0).conjugate()) > atol:
+            raise ValueError(f"element ({ket},{bra}) breaks hermiticity")
+    lo = min_eigenvalue(rho)
+    if lo < -atol_psd:
+        raise ValueError(f"negative eigenvalue {lo} below -{atol_psd}")
 
 
 def random_register(rng, max_subsystems=3, cutoff=2):

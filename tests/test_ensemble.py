@@ -6,7 +6,6 @@ import pytest
 from blockadesim.ensemble import (
     AbsorptionModel,
     blockade_absorb,
-    gate_h,
     gate_phase,
     gate_x,
     transfer_to_storage,
@@ -16,9 +15,8 @@ from blockadesim.state_algebra import (
     EnsembleQudit,
     HybridState,
     OpticalMode,
-    tensor,
 )
-from helpers import random_logical_state, random_state
+from helpers import random_logical_state, random_state, tensor
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -28,8 +26,6 @@ def logical_register(n=1):
 
 
 def test_absorption_model_validation():
-    assert AbsorptionModel(1.0).epsilon == 0.0
-    assert AbsorptionModel(0.978).epsilon == pytest.approx(0.022)
     with pytest.raises(ValueError):
         AbsorptionModel(1.2)
     with pytest.raises(ValueError):
@@ -48,34 +44,13 @@ def test_gate_x_frozen():
     assert abs(out.amplitude(("g",)) - 0.8j) < 1e-12
 
 
-def test_gate_h_frozen_and_involutive():
-    subs = logical_register()
-    g = HybridState.basis(subs, ("g",))
-    plus = gate_h(g, 0)
-    assert abs(plus.amplitude(("g",)) - RT2) < 1e-12
-    assert abs(plus.amplitude(("s",)) - RT2) < 1e-12
-    assert gate_h(plus, 0).allclose(g, atol=1e-12)
-
-
-def test_phase_conjugation_gives_x():
-    # H . Phi(pi) . H acts as X up to a global phase
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        st = random_logical_state(rng, n_registers=2)
-        idx = int(rng.integers(2))
-        a = gate_h(gate_phase(gate_h(st, idx), idx, math.pi), idx)
-        b = gate_x(st, idx)
-        ip = a.inner(b)
-        assert abs(abs(ip) - 1.0) < 1e-10
-
-
 def test_gates_are_unitary_on_randoms():
     rng = np.random.default_rng(6)
     for _ in range(100):
         st = random_logical_state(rng, n_registers=2)
         idx = int(rng.integers(2))
         phi = float(rng.uniform(-math.pi, math.pi))
-        for out in (gate_x(st, idx), gate_h(st, idx), gate_phase(st, idx, phi)):
+        for out in (gate_x(st, idx), gate_phase(st, idx, phi)):
             assert abs(out.norm() - 1.0) < 1e-12
 
 
@@ -84,8 +59,6 @@ def test_gate_rejects_leaked_register():
     st = HybridState(subs, {("g",): RT2, ("e",): RT2})
     with pytest.raises(ValueError, match="outside g/s"):
         gate_x(st, 0)
-    with pytest.raises(ValueError):
-        gate_h(st, 0)
     with pytest.raises(ValueError):
         gate_phase(st, 0, 0.5)
 
@@ -164,7 +137,7 @@ def test_transfer_to_storage_collision_raises():
 def test_gates_and_transfer_refuse_anything_but_a_pure_state():
     subs = logical_register()
     pure = HybridState.basis(subs, ("g",))
-    maps = (gate_x, gate_h, lambda obj, i: gate_phase(obj, i, 0.5), transfer_to_storage)
+    maps = (gate_x, lambda obj, i: gate_phase(obj, i, 0.5), transfer_to_storage)
     for obj in (DensityOperator.from_pure(pure), [("g",)]):
         for apply in maps:
             with pytest.raises(TypeError):

@@ -9,6 +9,7 @@ from blockadesim.optics import (
     beam_splitter,
     detect_all_probabilities,
     detect_outcomes,
+    group_occupations,
     phase_shift,
 )
 from blockadesim.state_algebra import (
@@ -17,8 +18,10 @@ from blockadesim.state_algebra import (
     EnsembleQudit,
     HybridState,
     OpticalMode,
+    fidelity,
+    partial_trace,
 )
-from helpers import random_optical_pair, random_state
+from helpers import assert_valid, element, random_optical_pair, random_state
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -79,13 +82,15 @@ def test_hom_identity_frozen():
 
 
 def test_beam_splitter_unitary_on_randoms():
+    # <Ua|Ub> = <a|b>, with b from its own generator
     rng = np.random.default_rng(42)
+    rng_b = np.random.default_rng(43)
     for _ in range(200):
         st = random_optical_pair(rng)
+        other = random_optical_pair(rng_b)
         out = beam_splitter(st, 0, 1)
         assert abs(out.norm() - 1.0) < 1e-12
-        back = beam_splitter(out, 0, 1, inverse=True)
-        assert back.allclose(st, atol=1e-12)
+        assert abs(out.inner(beam_splitter(other, 0, 1)) - st.inner(other)) < 1e-12
 
 
 def test_beam_splitter_vacuum_and_single_photon():
@@ -151,11 +156,12 @@ def test_detect_outcomes_two_photon_loss_frozen():
     subs = (OpticalMode(2, "m"),)
     st = HybridState.basis(subs, (2,))
     det = DetectorModel(efficiency=0.3)
-    outcomes = dict((o, (p, post)) for o, p, post in detect_outcomes(st, 0, det))
+    outcomes = {o: (p, post) for o, p, post in detect_outcomes(DensityOperator.from_pure(st),
+                                                                0, det)}
     assert outcomes[True][0] == pytest.approx(0.51, abs=1e-12)
     assert outcomes[False][0] == pytest.approx(0.49, abs=1e-12)
     post = outcomes[True][1]
-    assert post.element((0,), (0,)) == pytest.approx(1.0)  # mode reset to vacuum
+    assert element(post, (0,), (0,)) == pytest.approx(1.0)  # mode reset to vacuum
 
 
 def test_detect_outcomes_completeness_on_randoms():
@@ -164,19 +170,19 @@ def test_detect_outcomes_completeness_on_randoms():
     for _ in range(100):
         subs = (EnsembleQudit("A"), OpticalMode(2, "m"))
         st = random_state(rng, subs)
-        outcomes = detect_outcomes(st, 1, det)
+        outcomes = detect_outcomes(DensityOperator.from_pure(st), 1, det)
         total = sum(p for _, p, _ in outcomes)
         assert abs(total - 1.0) < 1e-10
         for _, p, post in outcomes:
             if post is not None:
-                post.assert_valid(atol=1e-10)
+                assert_valid(post, atol=1e-10)
 
 
 def test_detect_outcomes_on_density_input():
     subs = (OpticalMode(2, "m"),)
     rho = DensityOperator.mixture([
-        (0.5, HybridState.basis(subs, (0,))),
-        (0.5, HybridState.basis(subs, (1,))),
+        (0.5, DensityOperator.from_pure(HybridState.basis(subs, (0,)))),
+        (0.5, DensityOperator.from_pure(HybridState.basis(subs, (1,)))),
     ])
     det = DetectorModel(efficiency=0.4)
     outcomes = {o: p for o, p, _ in detect_outcomes(rho, 0, det)}
@@ -190,12 +196,13 @@ def test_detection_destroys_occupation_coherence():
     subs = (EnsembleQudit("A"), OpticalMode(2, "m"))
     st = HybridState(subs, {("g", 0): RT2, ("s", 1): RT2})
     det = DetectorModel(efficiency=0.4)
-    outcomes = dict((o, (p, post)) for o, p, post in detect_outcomes(st, 1, det))
+    outcomes = {o: (p, post) for o, p, post in detect_outcomes(DensityOperator.from_pure(st),
+                                                                1, det)}
     p_none, post = outcomes[False]
     assert p_none == pytest.approx(0.5 + 0.5 * 0.6, abs=1e-12)
-    assert abs(post.element(("g", 0), ("s", 0))) < 1e-12
-    assert post.element(("g", 0), ("g", 0)).real == pytest.approx(0.5 / 0.8)
-    assert post.element(("s", 0), ("s", 0)).real == pytest.approx(0.3 / 0.8)
+    assert abs(element(post, ("g", 0), ("s", 0))) < 1e-12
+    assert element(post, ("g", 0), ("g", 0)).real == pytest.approx(0.5 / 0.8)
+    assert element(post, ("s", 0), ("s", 0)).real == pytest.approx(0.3 / 0.8)
 
 
 def test_detect_all_matches_sequential_composition():
@@ -210,11 +217,11 @@ def test_detect_all_matches_sequential_composition():
     for det in detectors:
         for _ in range(25):
             st = random_state(rng, subs)
-            table = detect_all_probabilities(st, (1, 2), det)
+            table = detect_all_probabilities(group_occupations(st, (1, 2)), det)
             assert set(table) == set(itertools.product((False, True), repeat=2))
             assert abs(sum(p for p, _ in table.values()) - 1.0) < 1e-10
             sequential = {}
-            for o1, p1, post1 in detect_outcomes(st, 1, det):
+            for o1, p1, post1 in detect_outcomes(DensityOperator.from_pure(st), 1, det):
                 if post1 is None:
                     continue
                 for o2, p2, post12 in detect_outcomes(post1, 2, det):
@@ -227,27 +234,52 @@ def test_detect_all_matches_sequential_composition():
                     continue
                 keys = set(post.elements) | set(post_seq.elements)
                 for ket, bra in keys:
-                    assert post.element(ket, bra) == pytest.approx(
-                        post_seq.element(ket, bra), abs=1e-10)
+                    assert element(post, ket, bra) == pytest.approx(
+                        element(post_seq, ket, bra), abs=1e-10)
 
 
 def test_detect_all_zero_probability_patterns_have_no_post():
     subs = (OpticalMode(2, "m1"), OpticalMode(2, "m2"))
     st = HybridState.basis(subs, (0, 0))
-    table = detect_all_probabilities(st, (0, 1), DetectorModel.ideal())
+    table = detect_all_probabilities(group_occupations(st, (0, 1)), DetectorModel.ideal())
     assert table[(False, False)][0] == pytest.approx(1.0)
     for pattern in ((True, False), (False, True), (True, True)):
         p, post = table[pattern]
         assert p == 0.0 and post is None
+
+
+def test_group_occupations_validation():
+    st = HybridState.basis((OpticalMode(2, "m1"), OpticalMode(2, "m2")), (0, 0))
     with pytest.raises(ValueError):
-        detect_all_probabilities(st, (0, 0), DetectorModel.ideal())
+        group_occupations(st, (0, 0))
     with pytest.raises(ValueError):
-        detect_all_probabilities(st, (), DetectorModel.ideal())
+        group_occupations(st, ())
     with pytest.raises(TypeError):
-        detect_all_probabilities(st.to_density(), (0, 1), DetectorModel.ideal())
+        group_occupations(DensityOperator.from_pure(st), (0, 1))
 
 
 def test_detect_on_invalid_mode():
     st = HybridState((EnsembleQudit("A"), OpticalMode(2, "m")), {("g", 1): 1.0})
     with pytest.raises(ValueError):
-        detect_outcomes(st, 0, DetectorModel.ideal())
+        detect_outcomes(DensityOperator.from_pure(st), 0, DetectorModel.ideal())
+
+
+def test_density_functions_refuse_anything_but_a_density_operator():
+    subs = (EnsembleQudit("A"), OpticalMode(2, "m"))
+    pure = HybridState.basis(subs, ("g", 1))
+    det = DetectorModel.ideal()
+    maps = (
+        lambda obj: fidelity(obj, pure),
+        lambda obj: partial_trace(obj, (0,)),
+        lambda obj: detect_outcomes(obj, 1, det),
+        lambda obj: DensityOperator.mixture([(1.0, obj)]),
+    )
+    for apply in maps:
+        apply(DensityOperator.from_pure(pure))
+        with pytest.raises(TypeError):
+            apply(pure)
+    # the joint table takes a grouping only
+    detect_all_probabilities(group_occupations(pure, (1,)), det)
+    for obj in (pure, DensityOperator.from_pure(pure)):
+        with pytest.raises(TypeError):
+            detect_all_probabilities(obj, det)

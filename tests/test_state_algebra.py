@@ -9,13 +9,19 @@ from blockadesim.state_algebra import (
     EnsembleQudit,
     HybridState,
     OpticalMode,
-    basis_iter,
     fidelity,
     partial_trace,
     same_structure,
+)
+from helpers import (
+    assert_valid,
+    basis_iter,
+    element,
+    min_eigenvalue,
+    random_register,
+    random_state,
     tensor,
 )
-from helpers import random_register, random_state
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -115,9 +121,9 @@ def test_density_from_pure_and_trace():
     rng = np.random.default_rng(5)
     for _ in range(50):
         st = random_state(rng, random_register(rng))
-        rho = st.to_density()
+        rho = DensityOperator.from_pure(st)
         assert abs(rho.trace() - 1.0) < ATOL_STATE
-        rho.assert_valid()
+        assert_valid(rho)
         # fidelity of a pure state with itself
         assert fidelity(rho, st) == pytest.approx(1.0, abs=1e-12)
 
@@ -129,17 +135,19 @@ def test_fidelity_matches_overlap_squared():
         subs = random_register(rng)
         a = random_state(rng, subs)
         b = random_state(rng, subs)
-        assert fidelity(a.to_density(), b) == pytest.approx(abs(b.inner(a)) ** 2, abs=1e-12)
+        assert fidelity(DensityOperator.from_pure(a), b) == pytest.approx(
+            abs(b.inner(a)) ** 2, abs=1e-12)
 
 
 def test_density_mixture():
     a = HybridState(pair(), {("g", 0): 1.0})
     b = HybridState(pair(), {("s", 1): 1.0})
-    rho = DensityOperator.mixture([(0.25, a), (0.75, b)])
-    assert rho.element(("g", 0), ("g", 0)) == pytest.approx(0.25)
-    assert rho.element(("s", 1), ("s", 1)) == pytest.approx(0.75)
-    assert rho.element(("g", 0), ("s", 1)) == 0.0
-    rho.assert_valid()
+    rho = DensityOperator.mixture([(0.25, DensityOperator.from_pure(a)),
+                               (0.75, DensityOperator.from_pure(b))])
+    assert element(rho, ("g", 0), ("g", 0)) == pytest.approx(0.25)
+    assert element(rho, ("s", 1), ("s", 1)) == pytest.approx(0.75)
+    assert element(rho, ("g", 0), ("s", 1)) == 0.0
+    assert_valid(rho)
     assert fidelity(rho, b) == pytest.approx(0.75)
     with pytest.raises(ValueError):
         DensityOperator.mixture([])
@@ -150,7 +158,7 @@ def test_assert_valid_catches_bad_operators():
     # trace != 1
     bad_trace = DensityOperator(subs, {((("g", 0)), (("g", 0))): 0.5})
     with pytest.raises(ValueError):
-        bad_trace.assert_valid()
+        assert_valid(bad_trace)
     # non-hermitian
     bad_herm = DensityOperator(subs, {
         (("g", 0), ("g", 0)): 0.5,
@@ -159,7 +167,7 @@ def test_assert_valid_catches_bad_operators():
         (("s", 0), ("g", 0)): -0.3,
     })
     with pytest.raises(ValueError):
-        bad_herm.assert_valid()
+        assert_valid(bad_herm)
     # hermitian, trace 1, but indefinite
     bad_psd = DensityOperator(subs, {
         (("g", 0), ("g", 0)): 0.2,
@@ -167,9 +175,9 @@ def test_assert_valid_catches_bad_operators():
         (("g", 0), ("s", 0)): 0.5,
         (("s", 0), ("g", 0)): 0.5,
     })
-    assert bad_psd.min_eigenvalue() < -1e-6
+    assert min_eigenvalue(bad_psd) < -1e-6
     with pytest.raises(ValueError):
-        bad_psd.assert_valid()
+        assert_valid(bad_psd)
 
 
 def test_partial_trace_product_state():
@@ -177,7 +185,7 @@ def test_partial_trace_product_state():
     for _ in range(30):
         a = random_state(rng, (EnsembleQudit("A"),))
         b = random_state(rng, (OpticalMode(2, "m"),))
-        joint = tensor(a, b).to_density()
+        joint = DensityOperator.from_pure(tensor(a, b))
         reduced = partial_trace(joint, (0,))
         assert abs(reduced.trace() - 1.0) < ATOL_STATE
         assert fidelity(reduced, a) == pytest.approx(1.0, abs=1e-12)
@@ -188,11 +196,11 @@ def test_partial_trace_product_state():
 def test_partial_trace_bell_pair_is_maximally_mixed():
     subs = (EnsembleQudit("A"), EnsembleQudit("B"))
     bell = HybridState(subs, {("g", "g"): RT2, ("s", "s"): RT2})
-    reduced = partial_trace(bell.to_density(), (0,))
-    assert reduced.element(("g",), ("g",)) == pytest.approx(0.5)
-    assert reduced.element(("s",), ("s",)) == pytest.approx(0.5)
-    assert reduced.element(("g",), ("s",)) == 0.0
-    reduced.assert_valid()
+    reduced = partial_trace(DensityOperator.from_pure(bell), (0,))
+    assert element(reduced, ("g",), ("g",)) == pytest.approx(0.5)
+    assert element(reduced, ("s",), ("s",)) == pytest.approx(0.5)
+    assert element(reduced, ("g",), ("s",)) == 0.0
+    assert_valid(reduced)
 
 
 def test_partial_trace_preserves_trace_on_randoms():
@@ -201,15 +209,15 @@ def test_partial_trace_preserves_trace_on_randoms():
         subs = random_register(rng, max_subsystems=3)
         if len(subs) < 2:
             continue
-        rho = random_state(rng, subs).to_density()
+        rho = DensityOperator.from_pure(random_state(rng, subs))
         keep = (0,) if len(subs) == 2 else (0, 2)
         reduced = partial_trace(rho, keep)
         assert abs(reduced.trace() - 1.0) < 1e-10
-        reduced.assert_valid(atol=1e-10)
+        assert_valid(reduced, atol=1e-10)
 
 
 def test_partial_trace_validation():
-    rho = HybridState(pair(), {("g", 0): 1.0}).to_density()
+    rho = DensityOperator.from_pure(HybridState.basis(pair(), ("g", 0)))
     with pytest.raises(ValueError):
         partial_trace(rho, ())
     with pytest.raises(ValueError):
