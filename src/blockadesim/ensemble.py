@@ -30,6 +30,10 @@ from .state_algebra import (
 
 LOGICAL_LEVELS = ("g", "s")
 
+# Storage transfer: the optical pair maps to the storage pair, e -> g and
+# r1 -> s; storage labels pass through.
+STORAGE_LEVEL_OF = {"e": "g", "r1": "s", "g": "g", "s": "s"}
+
 
 @dataclass(frozen=True)
 class AbsorptionModel:
@@ -154,10 +158,9 @@ def transfer_to_storage(state: HybridState, index: int) -> HybridState:
     raises instead.
     """
     _require_qudit(state, index)
-    mapping = {"e": "g", "r1": "s", "g": "g", "s": "s"}
     out = {}
     for key, amp in state.amplitudes.items():
-        new = key[:index] + (mapping[key[index]],) + key[index + 1:]
+        new = key[:index] + (STORAGE_LEVEL_OF[key[index]],) + key[index + 1:]
         if new in out:
             raise ValueError(
                 f"storage transfer collides on {new!r} "

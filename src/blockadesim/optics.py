@@ -20,14 +20,21 @@ protocol needs.  ``DetectorModel`` folds quantum efficiency and a Poissonian
 dark count within the gate window into a click / no-click POVM on the
 occupation number.  One detector's outcome is ``False`` (no click) or
 ``True`` (click); a joint outcome is a tuple of them, one per detected mode
-in order.  The POVM is diagonal in the occupations, so a pure state splits
-into pure branches, one per occupation tuple of the detected modes
-(``group_occupations``, which depends on the state only), and a joint
-outcome is a weighted mixture of those branches (the weights depend on the
-detector only).  ``detect_all_probabilities`` takes that grouping and mixes
-its pure branches into density operators only for its result, the measured
-modes left in vacuum.  ``detect_outcomes`` conditions a density operator one
-mode at a time: the sampler's click distribution, and the joint table's oracle.
+in order.  The POVM is diagonal in the occupations, so joint detection splits
+into three costs, each paid once:
+
+* per grouping (the state only): ``group_occupations`` splits a pure state
+  into pure branches, one per occupation tuple of the detected modes, and
+  the ``OccupationGroups`` keeps each branch's norm and ket-bra list the
+  first time a detector model asks for them;
+* per detector model: ``_pattern_weights`` gives each occupation tuple its
+  weight under every click pattern, the Kronecker product of one
+  (no click, click) pair per mode;
+* per pattern: ``detect_all_probabilities`` sums the weighted branches into
+  one normalized density operator, the measured modes left in vacuum.
+
+``detect_outcomes`` conditions a density operator one mode at a time: the
+sampler's click distribution, and the joint table's oracle.
 """
 
 from __future__ import annotations
@@ -35,8 +42,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Mapping, Sequence
+from functools import cached_property, lru_cache
+from typing import Sequence
 
 from .state_algebra import (
     ATOL_STATE,
@@ -150,15 +157,11 @@ def phase_shift(state: HybridState, mode: int, phi: float) -> HybridState:
     return HybridState._trusted(state.subsystems, out)
 
 
-def _click_probability(det: DetectorModel, n: int) -> float:
+def _click_pair(det: DetectorModel, n: int) -> tuple:
+    """POVM weights on |n><n| as (no click, click); a click outcome indexes it."""
     # no click  =  no dark count  AND  every real photon missed
-    return 1.0 - (1.0 - det.dark_click_probability) * (1.0 - det.efficiency) ** n
-
-
-def _outcome_weights(det: DetectorModel, n: int) -> Mapping:
-    """POVM weights on |n><n| keyed by the click outcome."""
-    p = _click_probability(det, n)
-    return {False: 1.0 - p, True: p}
+    p = 1.0 - (1.0 - det.dark_click_probability) * (1.0 - det.efficiency) ** n
+    return (1.0 - p, p)
 
 
 def detect_outcomes(rho: DensityOperator, mode: int, det: DetectorModel) -> list:
@@ -171,7 +174,7 @@ def detect_outcomes(rho: DensityOperator, mode: int, det: DetectorModel) -> list
     """
     rho = require_density(rho)
     sub = _require_mode(rho, mode)
-    weights = {n: _outcome_weights(det, n) for n in range(sub.cutoff + 1)}
+    weights = [_click_pair(det, n) for n in range(sub.cutoff + 1)]
 
     results = []
     for outcome in (False, True):
@@ -192,7 +195,9 @@ def detect_outcomes(rho: DensityOperator, mode: int, det: DetectorModel) -> list
         if prob <= ATOL_STATE:
             results.append((outcome, 0.0, None))
             continue
-        post = DensityOperator(rho.subsystems, elems).scaled(1.0 / prob)
+        factor = complex(1.0 / prob)
+        post = DensityOperator._trusted(rho.subsystems,
+                                        {pair: factor * v for pair, v in elems.items()})
         results.append((outcome, prob, post))
     return results
 
@@ -216,10 +221,25 @@ class OccupationGroups:
         """Amplitudes over all branches (the support of the grouped state)."""
         return sum(len(branch) for _, branch in self.branches)
 
-    def map(self, transform) -> "OccupationGroups":
-        """Same grouping with ``transform`` applied to every branch."""
-        return OccupationGroups(self.modes, self.cutoffs,
-                                tuple((occ, transform(b)) for occ, b in self.branches))
+    @cached_property
+    def products(self) -> tuple:
+        """(norm squared, (ket, bra) pairs, their values) per branch, built on first use.
+
+        Every detector model re-weights these, so a grouping builds them
+        once; tuples all the way down, as immutable as the grouping.  A pair
+        that recurs in several branches is one shared key.
+        """
+        shared = {}
+        return tuple(_branch_product(branch, shared) for _, branch in self.branches)
+
+
+def _branch_product(branch: HybridState, shared: dict) -> tuple:
+    pairs, values = [], []
+    for ket, a in branch:
+        for bra, b in branch:
+            pairs.append(shared.setdefault((ket, bra), (ket, bra)))
+            values.append(a * b.conjugate())
+    return branch.norm_squared(), tuple(pairs), tuple(values)
 
 
 def group_occupations(state: HybridState, modes: Sequence) -> OccupationGroups:
@@ -248,28 +268,30 @@ def _pattern_weights(det: DetectorModel, cutoffs: Sequence, occupations: Sequenc
     """Detector-only half of joint detection.
 
     Returns ``[(clicks, (weight per occupation tuple, ...)), ...]`` over
-    every tuple of clicks of detectors on modes with ``cutoffs``.
+    every tuple of clicks of detectors on modes with ``cutoffs``, in
+    ``itertools.product`` order.  An occupation tuple's weights are the
+    Kronecker product of its modes' (no click, click) pairs, multiplied in
+    mode order; the last mode varies fastest, as in that order.
     """
-    per_mode = [{n: _outcome_weights(det, n) for n in range(c + 1)} for c in cutoffs]
-    out = []
-    for pattern in itertools.product((False, True), repeat=len(cutoffs)):
-        weights = []
-        for occ in occupations:
-            w = 1.0
-            for i, n in enumerate(occ):
-                w *= per_mode[i][n][pattern[i]]
-                if w == 0.0:
-                    break
-            weights.append(w)
-        out.append((pattern, tuple(weights)))
-    return out
+    pairs = [[_click_pair(det, n) for n in range(c + 1)] for c in cutoffs]
+    rows = []
+    for occ in occupations:
+        row = [1.0]
+        for per_n, n in zip(pairs, occ):
+            no_click, click = per_n[n]
+            row = [w * f for w in row for f in (no_click, click)]
+        rows.append(row)
+    patterns = itertools.product((False, True), repeat=len(cutoffs))
+    # zip(*rows) would yield no pattern at all for an empty occupation list
+    columns = zip(*rows) if rows else itertools.repeat(())
+    return list(zip(patterns, columns))
 
 
 def detect_all_probabilities(groups: OccupationGroups, det: DetectorModel) -> dict:
     """Joint outcome table for one detector model watching several modes.
 
-    ``groups`` is a ``group_occupations(state, modes)`` (possibly with the
-    branches mapped), so one grouping serves many detector models.  Returns
+    ``groups`` is a ``group_occupations(state, modes)`` or another grouping
+    of pure branches, so one grouping serves many detector models.  Returns
     ``{clicks: (probability, post_state_or_None)}`` over every tuple of
     clicks, one bool per mode in the order of ``groups.modes``;
     probabilities sum to the grouped state's norm.  Post states are
@@ -278,24 +300,23 @@ def detect_all_probabilities(groups: OccupationGroups, det: DetectorModel) -> di
     """
     if not isinstance(groups, OccupationGroups):
         raise TypeError(f"expected OccupationGroups, got {type(groups).__name__}")
-    branches = [branch for _, branch in groups.branches]
-    norms = [branch.norm_squared() for branch in branches]
-    outers = [[((ket, bra), a * b.conjugate()) for ket, a in branch for bra, b in branch]
-              for branch in branches]
+    products = groups.products
     table = _pattern_weights(det, groups.cutoffs, [occ for occ, _ in groups.branches])
     out = {}
     for pattern, weights in table:
         prob = 0.0
         elems = {}
-        for w, norm, outer in zip(weights, norms, outers):
+        get = elems.get
+        for w, (norm, pairs, values) in zip(weights, products):
             if w == 0.0:
                 continue
             prob += w * norm
-            for pair, v in outer:
-                elems[pair] = elems.get(pair, 0.0) + w * v
+            for pair, v in zip(pairs, values):
+                elems[pair] = get(pair, 0.0) + w * v
         if prob <= ATOL_STATE:
             out[pattern] = (0.0, None)
         else:
-            rho = DensityOperator._trusted(branches[0].subsystems, elems)
-            out[pattern] = (prob, rho.scaled(1.0 / prob))
+            factor = complex(1.0 / prob)
+            out[pattern] = (prob, DensityOperator._trusted(
+                groups.branches[0][1].subsystems, {pair: factor * v for pair, v in elems.items()}))
     return out

@@ -37,14 +37,21 @@ conditional state is scored against the pure state C^dagger |GHZ>.
 Register reduction
 ------------------
 Both circuits list their ensemble registers first and detect every optical
-port, so one path reduces either to its registers: the pure pre-detection
-state is moved to the storage basis and split by the occupations of the
-detected ports, and each branch, a pure state of the registers once the
-ports are vacuum, drops the ports (``_register_groups``).  That grouping
-depends on the circuit and the absorption model only and is cached, so a
-sweep over detector models builds and groups each state once; each detector
-model then only re-weights the branches into per-pattern register states;
-only there and in the sampler's sequential oracle are density operators made.
+port, so one path reduces either to its registers.  What is computed where:
+
+* per circuit and absorption model (cached, so a sweep over detector models
+  pays it once): the pure pre-detection state, and one pass over it that
+  moves the registers to the storage basis, groups the amplitudes by the
+  occupations of the detected ports and drops the ports, leaving pure
+  register branches (``_register_groups``, which keeps only the
+  grouping); the grouping builds each branch's norm and ket-bra list the
+  first time they are needed;
+* per detector model: each occupation tuple's weight under every click
+  pattern (``detect_all_probabilities``);
+* per pattern: the weighted branches summed into one register density
+  operator, which the chain scores and the pair entangler mixes per
+  herald.  Only there and in the sampler's sequential oracle are density
+  operators made.
 """
 
 from __future__ import annotations
@@ -55,13 +62,21 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .ensemble import AbsorptionModel, blockade_absorb, gate_phase, gate_x, transfer_to_storage
+from .ensemble import (
+    STORAGE_LEVEL_OF,
+    AbsorptionModel,
+    blockade_absorb,
+    gate_phase,
+    gate_x,
+    # unused here, like partial_trace below: perfbench/tracer.py rebinds the name
+    transfer_to_storage,
+)
 from .optics import (
     DetectorModel,
+    OccupationGroups,
     beam_splitter,
     detect_all_probabilities,
     detect_outcomes,
-    group_occupations,
     phase_shift,
 )
 from .state_algebra import (
@@ -151,7 +166,6 @@ class EntangleOutcome:
     success_probability: float
     up: HeraldBranch
     down: HeraldBranch
-    pre_detection_state: HybridState
 
     @property
     def heralded_fidelity(self) -> Optional[float]:
@@ -171,25 +185,32 @@ REGISTER_GROUPS_CACHE_SIZE = 4
 
 
 @lru_cache(maxsize=REGISTER_GROUPS_CACHE_SIZE)
-def _register_groups(pre_detection_state, modes: tuple, absorption: AbsorptionModel) -> tuple:
-    """(pre-detection state, its occupation groups on ``modes`` as register branches).
+def _register_groups(pre_detection_state, modes: tuple,
+                     absorption: AbsorptionModel) -> OccupationGroups:
+    """The pre-detection state's occupation groups on ``modes``, as register branches.
 
     ``pre_detection_state(absorption)`` builds a circuit whose registers
-    come first and whose ports are all in ``modes``, so each branch is a
-    pure state of the registers, in the storage basis.  Both values are
-    immutable.
+    come first and whose ports are all in ``modes``.  One pass over its
+    amplitudes groups them by the ports' occupations, drops the ports (each
+    branch's ports are vacuum once measured) and moves every register to
+    the storage basis by ``transfer_to_storage``'s rule, which refuses a
+    relabelling that would merge two amplitudes.  The grouping is
+    immutable and keeps its branch products once built.
     """
     pre = pre_detection_state(absorption)
-    n_registers = len(pre.subsystems) - len(modes)
-    stored = pre
-    for reg in range(n_registers):
-        stored = transfer_to_storage(stored, reg)
-
-    def drop_vacuum_ports(branch: HybridState) -> HybridState:
-        return HybridState._trusted(branch.subsystems[:n_registers],
-                                    {key[:n_registers]: amp for key, amp in branch})
-
-    return pre, group_occupations(stored, modes).map(drop_vacuum_ports)
+    subs = pre.subsystems
+    n_registers = len(subs) - len(modes)
+    grouped = {}
+    for key, amp in pre:
+        branch = grouped.setdefault(tuple(key[m] for m in modes), {})
+        stored = tuple(STORAGE_LEVEL_OF[level] for level in key[:n_registers])
+        if stored in branch:
+            raise ValueError(f"storage transfer collides on {stored!r} "
+                             f"(a register holds both optical and storage weight)")
+        branch[stored] = amp
+    registers = subs[:n_registers]
+    return OccupationGroups(modes, tuple(subs[m].cutoff for m in modes), tuple(
+        (occ, HybridState._trusted(registers, amps)) for occ, amps in grouped.items()))
 
 
 def entangle_pair_exact(absorption: AbsorptionModel = AbsorptionModel(),
@@ -203,8 +224,8 @@ def entangle_pair_exact(absorption: AbsorptionModel = AbsorptionModel(),
     the storage basis.
     """
     modes = (_PAIR_MODE_OF[UP], _PAIR_MODE_OF[DOWN])
-    pre, groups = _register_groups(pair_pre_detection_state, modes, absorption)
-    table = detect_all_probabilities(groups, detector)
+    table = detect_all_probabilities(
+        _register_groups(pair_pre_detection_state, modes, absorption), detector)
 
     def joint(first: bool, second: bool) -> tuple:
         return table[(first, second)]
@@ -245,7 +266,6 @@ def entangle_pair_exact(absorption: AbsorptionModel = AbsorptionModel(),
         success_probability=success,
         up=branches[UP],
         down=branches[DOWN],
-        pre_detection_state=pre,
     )
 
 
@@ -431,7 +451,6 @@ class GhzOutcome:
     success_probability: float
     accepted: tuple
     rejected: tuple
-    pre_detection_state: HybridState
 
 
 def ghz4_exact(absorption: AbsorptionModel = AbsorptionModel(),
@@ -445,8 +464,8 @@ def ghz4_exact(absorption: AbsorptionModel = AbsorptionModel(),
     conditional state is reported for diagnostics.  The conditional states
     are mixed from the cached register branches.
     """
-    pre, groups = _register_groups(ghz_pre_detection_state, GHZ_DETECTED_MODES, absorption)
-    table = detect_all_probabilities(groups, detector)
+    table = detect_all_probabilities(
+        _register_groups(ghz_pre_detection_state, GHZ_DETECTED_MODES, absorption), detector)
 
     accepted = []
     rejected = []
@@ -475,7 +494,6 @@ def ghz4_exact(absorption: AbsorptionModel = AbsorptionModel(),
         success_probability=success,
         accepted=tuple(accepted),
         rejected=tuple(rejected),
-        pre_detection_state=pre,
     )
 
 

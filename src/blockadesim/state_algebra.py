@@ -45,13 +45,6 @@ class EnsembleQudit:
 
     name: str = ""
 
-    @property
-    def dim(self) -> int:
-        return len(ENSEMBLE_LEVELS)
-
-    def basis_labels(self) -> tuple:
-        return ENSEMBLE_LEVELS
-
     def label_index(self, label) -> int:
         try:
             return ENSEMBLE_LEVELS.index(label)
@@ -73,13 +66,6 @@ class OpticalMode:
     def __post_init__(self):
         if not isinstance(self.cutoff, int) or self.cutoff < 1:
             raise ValueError(f"mode cutoff must be an integer >= 1, got {self.cutoff!r}")
-
-    @property
-    def dim(self) -> int:
-        return self.cutoff + 1
-
-    def basis_labels(self) -> tuple:
-        return tuple(range(self.cutoff + 1))
 
     def label_index(self, label) -> int:
         try:

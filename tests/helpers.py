@@ -7,10 +7,12 @@ import math
 import numpy as np
 
 from blockadesim.growth import ClusterInventory, GrowthStatistics, growth_rates
+from blockadesim.optics import _click_pair
 from blockadesim.protocol import link_success_probability
 from blockadesim.state_algebra import (
     ATOL_PSD,
     ATOL_STATE,
+    ENSEMBLE_LEVELS,
     EnsembleQudit,
     HybridState,
     OpticalMode,
@@ -23,9 +25,16 @@ def tensor(a, b):
                        {ka + kb: va * vb for ka, va in a for kb, vb in b})
 
 
+def basis_labels(sub):
+    """Every label of one subsystem, in index order."""
+    if isinstance(sub, EnsembleQudit):
+        return ENSEMBLE_LEVELS
+    return tuple(range(sub.cutoff + 1))
+
+
 def basis_iter(subsystems):
     """Iterate the full product basis of a register (small registers only)."""
-    return itertools.product(*(sub.basis_labels() for sub in subsystems))
+    return itertools.product(*(basis_labels(sub) for sub in subsystems))
 
 
 def element(rho, ket, bra):
@@ -58,6 +67,27 @@ def assert_valid(rho, atol=ATOL_STATE, atol_psd=ATOL_PSD):
     lo = min_eigenvalue(rho)
     if lo < -atol_psd:
         raise ValueError(f"negative eigenvalue {lo} below -{atol_psd}")
+
+
+def pattern_weights_loop(det, cutoffs, occupations):
+    """Oracle for ``optics._pattern_weights``: one pattern, occupation and mode at a time.
+
+    Same per-mode weights, multiplied in mode order from 1.0 and stopped at
+    the first zero, so the product form must match it bit for bit.
+    """
+    per_mode = [[_click_pair(det, n) for n in range(c + 1)] for c in cutoffs]
+    out = []
+    for pattern in itertools.product((False, True), repeat=len(cutoffs)):
+        weights = []
+        for occ in occupations:
+            w = 1.0
+            for i, n in enumerate(occ):
+                w *= per_mode[i][n][pattern[i]]
+                if w == 0.0:
+                    break
+            weights.append(w)
+        out.append((pattern, tuple(weights)))
+    return out
 
 
 def random_register(rng, max_subsystems=3, cutoff=2):

@@ -1,9 +1,11 @@
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+from blockadesim import optics
 from blockadesim.optics import (
     DetectorModel,
     beam_splitter,
@@ -21,7 +23,13 @@ from blockadesim.state_algebra import (
     fidelity,
     partial_trace,
 )
-from helpers import assert_valid, element, random_optical_pair, random_state
+from helpers import (
+    assert_valid,
+    element,
+    pattern_weights_loop,
+    random_optical_pair,
+    random_state,
+)
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -236,6 +244,81 @@ def test_detect_all_matches_sequential_composition():
                 for ket, bra in keys:
                     assert element(post, ket, bra) == pytest.approx(
                         element(post_seq, ket, bra), abs=1e-10)
+
+
+def _weight_bits(table):
+    return [(pattern, tuple(w.hex() for w in weights)) for pattern, weights in table]
+
+
+def test_pattern_weights_product_form_matches_the_loop_bit_for_bit():
+    rng = np.random.default_rng(13)
+    detectors = [DetectorModel(efficiency=eta, dark_count_rate_hz=rate)
+                 for eta in (0.0, 0.37, 0.5, 0.91, 1.0) for rate in (0.0, 3e4)]
+    zeros = 0
+    for det in detectors:
+        for n_modes in range(1, 7):
+            cutoffs = tuple(int(c) for c in rng.integers(1, 4, size=n_modes))
+            occupations = [tuple(int(rng.integers(0, c + 1)) for c in cutoffs)
+                           for _ in range(12)]
+            occupations.append((0,) * n_modes)
+            got = optics._pattern_weights(det, cutoffs, occupations)
+            assert _weight_bits(got) == _weight_bits(
+                pattern_weights_loop(det, cutoffs, occupations))
+            zeros += sum(w == 0.0 for _, weights in got for w in weights)
+            # no occupation tuples: every pattern still comes back, weightless
+            empty = optics._pattern_weights(det, cutoffs, [])
+            assert empty == [(pattern, ()) for pattern in
+                             itertools.product((False, True), repeat=n_modes)]
+    assert zeros > 0  # eta 0 or 1 without dark counts gives exact zeros
+
+
+def _table_bits(table):
+    def bits(z):
+        return z.real.hex(), z.imag.hex()
+    return [(pattern, prob.hex(), None if post is None else
+             [(pair, bits(v)) for pair, v in post.elements.items()])
+            for pattern, (prob, post) in table.items()]
+
+
+def test_branch_products_are_built_once_per_grouping(monkeypatch):
+    built = []
+    build = optics._branch_product
+    monkeypatch.setattr(optics, "_branch_product",
+                        lambda branch, shared: built.append(branch) or build(branch, shared))
+    rng = np.random.default_rng(21)
+    subs = (EnsembleQudit("A"), OpticalMode(2, "m1"), EnsembleQudit("B"), OpticalMode(2, "m2"))
+    st = random_state(rng, subs, max_terms=30)
+    detectors = (DetectorModel(efficiency=0.3, dark_count_rate_hz=3e4),
+                 DetectorModel(efficiency=1.0))
+    groups = group_occupations(st, (3, 1))
+    shared = [detect_all_probabilities(groups, det) for det in detectors]
+    assert len(built) == len(groups.branches) > 1
+    for det, table in zip(detectors, shared):
+        fresh = detect_all_probabilities(group_occupations(st, (3, 1)), det)
+        assert _table_bits(table) == _table_bits(fresh)
+    assert len(built) == 3 * len(groups.branches)
+
+    # the cache is immutable all the way down, like the grouping itself
+    assert isinstance(groups.products, tuple)
+    for norm, pairs, values in groups.products:
+        assert isinstance(norm, float) and isinstance(pairs, tuple) and isinstance(values, tuple)
+        assert all(isinstance(pair, tuple) for pair in pairs)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        groups.products = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del groups.products
+
+
+def test_detect_outcomes_builds_no_validated_operator(monkeypatch):
+    st = HybridState((EnsembleQudit("A"), OpticalMode(2, "m")), {("g", 0): RT2, ("s", 2): RT2})
+    rho = DensityOperator.from_pure(st)
+
+    def refuse(*args):
+        raise AssertionError("post states need no label validation")
+
+    monkeypatch.setattr(DensityOperator, "__init__", refuse)
+    outcomes = detect_outcomes(rho, 1, DetectorModel(efficiency=0.4))
+    assert [p for _, p, _ in outcomes] == pytest.approx([0.5 + 0.5 * 0.36, 0.5 * 0.64])
 
 
 def test_detect_all_zero_probability_patterns_have_no_post():

@@ -8,7 +8,7 @@ import pytest
 from blockadesim import protocol
 from blockadesim.cli import parse_args, run
 from blockadesim.ensemble import AbsorptionModel, transfer_to_storage
-from blockadesim.optics import DetectorModel, detect_outcomes
+from blockadesim.optics import DetectorModel, detect_outcomes, group_occupations
 from blockadesim.protocol import (
     ACCEPTED_GHZ_PATTERNS,
     DOWN,
@@ -26,7 +26,14 @@ from blockadesim.protocol import (
     pair_pre_detection_state,
     psi_pair,
 )
-from blockadesim.state_algebra import DensityOperator, fidelity, partial_trace
+from blockadesim.state_algebra import (
+    DensityOperator,
+    EnsembleQudit,
+    HybridState,
+    OpticalMode,
+    fidelity,
+    partial_trace,
+)
 from helpers import assert_valid, assert_within_3sigma, element
 
 RT2 = 1.0 / math.sqrt(2.0)
@@ -375,6 +382,39 @@ def test_ghz_group_cache_changes_no_result():
     single = json.loads(run(parse_args(["ghz", "--eta", "0.8", "--p-abs", str(p)])))
     assert rows[1]["eta"] == 0.8
     assert rows[1]["circuit_success_probability"] == single["results"]["circuit"]["success_probability"]
+
+
+def test_register_groups_is_transfer_then_grouping_then_port_drop():
+    # oracle: the public maps one at a time, storage transfer per register,
+    # then the grouping, then the vacuum ports dropped from every branch
+    for circuit, modes in ((ghz_pre_detection_state, protocol.GHZ_DETECTED_MODES),
+                           (pair_pre_detection_state, (2, 3))):
+        for p in (1.0, 0.9):
+            protocol._register_groups.cache_clear()
+            groups = protocol._register_groups(circuit, modes, AbsorptionModel(p))
+            stored = circuit(AbsorptionModel(p))
+            n_registers = len(stored.subsystems) - len(modes)
+            for reg in range(n_registers):
+                stored = transfer_to_storage(stored, reg)
+            expected = group_occupations(stored, modes)
+            assert (groups.modes, groups.cutoffs) == (expected.modes, expected.cutoffs)
+            assert [occ for occ, _ in groups.branches] == [occ for occ, _ in expected.branches]
+            for (_, got), (_, full) in zip(groups.branches, expected.branches):
+                assert got.subsystems == stored.subsystems[:n_registers]
+                assert list(got) == [(key[:n_registers], amp) for key, amp in full]
+
+
+def _colliding_circuit(absorption):
+    # register A holds "e" and "g" beside one port occupation: both map to "g"
+    subs = (EnsembleQudit("A"), OpticalMode(2, "port"))
+    return HybridState(subs, {("e", 1): RT2, ("g", 1): RT2})
+
+
+def test_register_groups_refuses_a_storage_collision():
+    with pytest.raises(ValueError, match="collides"):
+        protocol._register_groups(_colliding_circuit, (1,), AbsorptionModel())
+    with pytest.raises(ValueError, match="collides"):
+        transfer_to_storage(_colliding_circuit(AbsorptionModel()), 0)
 
 
 def test_ghz_pre_detection_state_is_normalized():

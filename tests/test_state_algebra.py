@@ -16,6 +16,7 @@ from blockadesim.state_algebra import (
 from helpers import (
     assert_valid,
     basis_iter,
+    basis_labels,
     element,
     min_eigenvalue,
     random_register,
@@ -32,15 +33,15 @@ def pair():
 
 def test_subsystem_basics():
     q = EnsembleQudit("A")
-    assert q.dim == 4
-    assert q.basis_labels() == ("g", "e", "s", "r1")
+    assert basis_labels(q) == ("g", "e", "s", "r1")
+    assert [q.label_index(label) for label in basis_labels(q)] == [0, 1, 2, 3]
     assert q.label_index("s") == 2
     with pytest.raises(ValueError):
         q.label_index("r2")
 
     m = OpticalMode(2, "m")
-    assert m.dim == 3
-    assert m.basis_labels() == (0, 1, 2)
+    assert basis_labels(m) == (0, 1, 2)
+    assert [m.label_index(label) for label in basis_labels(m)] == [0, 1, 2]
     with pytest.raises(ValueError):
         m.label_index(3)
     assert m.label_index(np.int64(1)) == 1
