@@ -29,7 +29,11 @@ Trial ``t`` of a run with seed ``s`` draws from the stream of
 ``default_rng([s, t])``.  ``simulate_growth`` computes those PCG64 states in
 one vectorised pass of numpy's SeedSequence hash per block of trials, checks
 trial 0 of the first pass against numpy itself, and sets each state on one
-reused generator.
+reused generator.  Its trials draw their uniforms 256, 512, then 1,024 at
+a time, so a short trial leaves few of them unused and a long one makes few
+draws; uniforms past a trial's end are never read, so the sizes change no
+result.  ``run_trial`` draws 256 at a time throughout, so the generator it
+is handed ends where a step-by-step loop over such chunks leaves it.
 
 ``expected_cost_markov`` evaluates the same rules exactly: the reachable
 state space is tiny and the expected costs solve a linear system over it.
@@ -45,7 +49,7 @@ import math
 import operator
 import threading
 from dataclasses import dataclass, field, fields
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from typing import Optional
 
 import numpy as np
@@ -106,7 +110,12 @@ _PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
 # Trials seeded per vectorised pass; bounds the seeding memory.
 _SEED_BLOCK = 4096
 # Uniforms a trial draws from its generator at a time, one per step.
+# run_trial draws _DRAW_CHUNK at a time.  simulate_growth draws the sizes of
+# _DRAW_CHUNKS in turn, the last one repeating: a short trial leaves few
+# uniforms unused, a long one makes few draws, and the largest size keeps
+# every array of a tally batch under 128 KiB.
 _DRAW_CHUNK = 256
+_DRAW_CHUNKS = (256, 512, 1024)
 # Steps one byte of link bits covers: one table lookup walks them all.
 _BYTE = 8
 # Byte steps buffered between two tallies; bounds the walk's memory.
@@ -298,7 +307,10 @@ def _tally(graph: _TransitionGraph, log_miss: float, ids: list, uniforms: list,
             counts[:, 1] += np.add.reduceat(extra, starts).astype(np.int64)
         else:
             counts = counts.astype(object)
-            counts[:, 1] += [sum(map(int, piece.tolist())) for piece in np.split(extra, starts[1:])]
+            # an object array: numpy turns a list that mixes sums under 2^63
+            # with one in [2^63, 2^64) into float64, rounding every sum
+            counts[:, 1] += np.array([sum(map(int, piece.tolist()))
+                                      for piece in np.split(extra, starts[1:])], object)
     return counts
 
 
@@ -394,14 +406,15 @@ def _trial_generators(seed: int, trials: int):
 
 
 def _walk_trials(policy: GrowthPolicy, p_block: float, eta_prime: float, rngs,
-                 trials: int) -> tuple:
+                 trials: int, chunks: tuple) -> tuple:
     """Run one growth trial per generator; return (rows, ends, won).
 
     ``rows[t]`` holds the counters of trial t in ``_COLUMNS`` order,
     ``ends[t]`` its final slot state (a, b) and ``won[t]`` whether that
     state is absorbed, i.e. the trial reached the target.  Each trial draws
-    uniforms from its generator in chunks of ``_DRAW_CHUNK``, one per step,
-    packs their link bits ``u < q`` into bytes and walks its cached
+    uniforms from its generator in chunks of the sizes ``chunks`` in turn,
+    the last size repeating (multiples of 8), one per step, packs their
+    link bits ``u < q`` into bytes and walks its cached
     transition graph one byte, 8 steps, per lookup; where the step cap cuts
     a byte, the walk ends with a tail entry of the steps left.  A trial ends
     on an absorbed node or at the cap, and only the byte steps up to its
@@ -413,6 +426,9 @@ def _walk_trials(policy: GrowthPolicy, p_block: float, eta_prime: float, rngs,
 
     A trial draws all its uniforms before the next generator is taken from
     ``rngs``, so ``rngs`` may yield one generator reset for every trial.
+    Uniforms drawn past a trial's end are never read, and since ``random(a)``
+    then ``random(b)`` gives the doubles of ``random(a + b)``, the schedule
+    changes no result, only the generator's final state.
     """
     q = link_success_probability(eta_prime)
     graph = _graph(policy.block_size, policy.target_size)
@@ -424,13 +440,13 @@ def _walk_trials(policy: GrowthPolicy, p_block: float, eta_prime: float, rngs,
     ids, uniforms, starts, first = [], [], [], 0
     for t, rng in enumerate(rngs):
         node, left = graph.start, policy.step_cap
-        while True:
+        for chunk in chain(chunks, repeat(chunks[-1])):
             if len(ids) >= _TALLY_BYTES:
                 rows = _added(rows, first, _tally(graph, log_miss, ids, uniforms, starts))
                 ids, uniforms, starts, first = [], [], [], t
             if first + len(starts) == t:
                 starts.append(len(ids))
-            u = rng.random(_DRAW_CHUNK)
+            u = rng.random(chunk)
             data = np.packbits(u < q, bitorder="little").tobytes()
             walked = data[:left // _BYTE]  # all of it unless the cap cuts the chunk
             path = graph.walk(node, walked)
@@ -444,7 +460,7 @@ def _walk_trials(policy: GrowthPolicy, p_block: float, eta_prime: float, rngs,
                 kept = bisect.bisect_left(path, True, key=lambda visit: visit is node)
                 walked = walked[:kept]
             ids += map(operator.add, map(_BASE_OF, path), walked)
-            if left < _DRAW_CHUNK and not absorbed[code]:
+            if left < chunk and not absorbed[code]:
                 # the cap falls inside this chunk: the steps after its last
                 # whole byte take a tail entry
                 part = left % _BYTE
@@ -454,7 +470,7 @@ def _walk_trials(policy: GrowthPolicy, p_block: float, eta_prime: float, rngs,
                     kept += 1
             # a view of a cut chunk would keep all of it until the tally
             uniforms.append(u if kept == len(data) else u[:_BYTE * kept].copy())
-            left -= _DRAW_CHUNK
+            left -= chunk
             if absorbed[code] or left <= 0:
                 break
         ends.append(graph.states[code])
@@ -483,9 +499,10 @@ def run_trial(policy: GrowthPolicy, p_block: float, eta_prime: float,
     lookup.  The step rule lives only in ``_TransitionGraph.expand``; this
     is the trial kernel ``simulate_growth`` uses, run on one generator.  One
     uniform is consumed per step from chunks of ``_DRAW_CHUNK``, so results
-    are deterministic for a given generator state.
+    and the generator's final state are deterministic for a given generator
+    state.
     """
-    rows, (end,), (won,) = _walk_trials(policy, p_block, eta_prime, [rng], 1)
+    rows, (end,), (won,) = _walk_trials(policy, p_block, eta_prime, [rng], 1, (_DRAW_CHUNK,))
     return won, _inventory(rows[0], end)
 
 
@@ -565,7 +582,7 @@ def simulate_growth(policy: GrowthPolicy, eta: float, eta_prime: float,
     p_block, _ = growth_rates(policy, eta, eta_prime)
 
     rows, ends, won = _walk_trials(policy, p_block, eta_prime,
-                                   _trial_generators(seed, trials), trials)
+                                   _trial_generators(seed, trials), trials, _DRAW_CHUNKS)
     ends = np.array(ends, np.int64)
     blocks, gens, links, wins, measured, dropped, steps = rows.T
     # every trial's qubit ledger, as ClusterInventory.assert_ledger_balanced checks one

@@ -35,6 +35,12 @@ CASES = {
                   "--trials", "200", "--seed", "3"],
     "grow_long.json": ["grow", "--block-size", "4", "--target", "12", "--eta", "0.75",
                        "--eta-prime", "0.5", "--trials", "200", "--seed", "3"],
+    # 30 % of the trials hit the cap, 3 steps into the fourth draw chunk of
+    # simulate_growth's schedule (256 + 512 + 1,024 + 3); the rest reach the
+    # target inside chunks 1-3
+    "grow_cap_chunks.json": ["grow", "--block-size", "4", "--target", "12", "--eta", "0.8",
+                             "--eta-prime", "0.5", "--trials", "80", "--seed", "11",
+                             "--cap", "1795", "--format", "json"],
     "grow_block6.txt": ["grow", "--block-size", "6", "--target", "12", "--eta", "0.95",
                         "--eta-prime", "0.8", "--trials", "100", "--seed", "5",
                         "--format", "text"],

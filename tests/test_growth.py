@@ -296,6 +296,8 @@ def test_every_built_entry_is_eight_single_steps():
     (GrowthPolicy(6, 20, 1_000_000), 1.0, 1.0, 30),
     # p_block 5e-17: attempt counts pass 2^53 and are tallied as Python ints
     (GrowthPolicy(4, 12, 1_000_000), 1e-8, 0.9, 30),
+    # the cap falls 3 steps into simulate_growth's fourth draw chunk
+    (GrowthPolicy(4, 12, 1795), 0.8, 0.5, 80),
 ])
 def test_simulate_growth_matches_reference_growth(policy, eta, eta_prime, trials):
     got = simulate_growth(policy, eta, eta_prime, seed=19, trials=trials)
@@ -437,6 +439,61 @@ def test_walk_buffers_a_bounded_number_of_steps(monkeypatch):
     assert max(tallied) < growth._TALLY_BYTES + chunk
 
 
+# the cap 1 step before, at and after the end of chunks 1, 2 and 3 of the
+# draw schedule (256, 768 and 1,792 steps), and inside chunks 2, 3 and 4
+SCHEDULE_CAPS = (255, 256, 257, 767, 768, 771, 1791, 1795, 2819)
+
+
+def test_walk_trials_gives_the_same_trials_under_the_draw_schedule():
+    ends_in = set()
+    for (block, target), cap in itertools.product(((4, 5), (4, 12), (6, 14), (4, 20)),
+                                                  SCHEDULE_CAPS):
+        policy = GrowthPolicy(block, target, cap)
+        # p_block 5e-17 turns the rows to Python ints
+        for p_block, eta_prime, seed in ((0.28125, 0.5, 1), (0.6, 0.05, 2), (5e-17, 0.9, 3)):
+            want, got = (growth._walk_trials(policy, p_block, eta_prime,
+                                             growth._trial_generators(seed, 40), 40, chunks)
+                         for chunks in ((growth._DRAW_CHUNK,), growth._DRAW_CHUNKS))
+            assert got[0].dtype == want[0].dtype
+            assert got[0].tolist() == want[0].tolist(), (block, target, cap, p_block)
+            assert got[1:] == want[1:], (block, target, cap, p_block)
+            ends_in.update(zip(want[0][:, 6].tolist(), want[2]))
+    # trials reach the target inside each of the first three chunks, and
+    # caps cut chunks 1 to 4
+    steps = [s for s, won in ends_in if won]
+    for lo, hi in ((0, 256), (256, 768), (768, 1792)):
+        assert any(lo < s <= hi for s in steps), (lo, hi)
+    assert {cap for cap in SCHEDULE_CAPS if (cap, False) in ends_in} == set(SCHEDULE_CAPS)
+
+
+def test_simulate_growth_buffers_a_bounded_number_of_steps(monkeypatch):
+    drawn, tallied = [], []
+    tally = growth._tally
+    generators = growth._trial_generators
+
+    class Recording:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def random(self, n):
+            drawn.append(n)
+            return self.rng.random(n)
+
+    def recording(graph, log_miss, ids, uniforms, starts):
+        tallied.append(len(ids))
+        assert sum(map(len, uniforms)) == growth._BYTE * len(ids)
+        assert sum(u.nbytes for u in uniforms) < 128 * 1024
+        return tally(graph, log_miss, ids, uniforms, starts)
+
+    monkeypatch.setattr(growth, "_tally", recording)
+    monkeypatch.setattr(growth, "_trial_generators",
+                        lambda seed, trials: map(Recording, generators(seed, trials)))
+    got = simulate_growth(GrowthPolicy(4, 20, 20_000), 0.8, 0.5, seed=8, trials=12)
+    assert 0 < got.cap_hit_fraction < 1
+    assert set(drawn) == set(growth._DRAW_CHUNKS) and len(tallied) > 10
+    assert max(tallied) <= growth._TALLY_BYTES + max(growth._DRAW_CHUNKS) // growth._BYTE + 1
+
+
 def test_attempts_carried_across_tallies_stay_exact_past_int64(monkeypatch):
     # p_block 3e-14: a tally of one chunk adds about 3e15 attempts, under the
     # 2^53 that keeps a batch in int64, while the trial's total passes 2^63
@@ -455,6 +512,25 @@ def test_attempts_carried_across_tallies_stay_exact_past_int64(monkeypatch):
     monkeypatch.setattr(growth, "_TALLY_BYTES", 1)
     assert run_trial(policy, 3e-14, 1e-6, np.random.default_rng(5)) == want
     assert len(dtypes) > 1000 and set(dtypes) == {np.dtype(np.int64)}
+
+
+def test_a_batch_of_trials_past_int64_tallies_exact_python_ints(monkeypatch):
+    # p_block 5e-17: each trial's attempt count nears or passes 2^63, and
+    # one batch tallies all the trials together
+    monkeypatch.setattr(growth, "_TALLY_BYTES", 10**6)
+    policy = GrowthPolicy(4, 12, 1791)
+    rows, _, won = growth._walk_trials(policy, 5e-17, 0.9, growth._trial_generators(3, 40),
+                                       40, (growth._DRAW_CHUNK,))
+    attempts = []
+    for t, (row, ok) in enumerate(zip(rows.tolist(), won)):
+        want_ok, inv = reference_trial(policy, 5e-17, 0.9, np.random.default_rng([3, t]))
+        assert (ok, row[1]) == (want_ok, inv.generation_attempts), t
+        assert type(row[1]) is int
+        attempts.append(row[1])
+    assert max(attempts) >= 2**63 > min(attempts)
+    policy = GrowthPolicy(4, 16, 1795)
+    got = simulate_growth(policy, 1e-8, 0.05, seed=33, trials=120)
+    assert got == reference_growth(policy, 1e-8, 0.05, seed=33, trials=120)
 
 
 SEEDS = (0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 3, 2**96, 2**128 + 5)
