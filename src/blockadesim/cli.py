@@ -72,7 +72,7 @@ class ParamSpec:
     choices: Optional[tuple] = None
 
 
-def _positive_int(text: str) -> int:
+def _non_negative_int(text: str) -> int:
     value = int(text)
     if value < 0:
         raise ValueError(f"must be >= 0, got {value}")
@@ -87,7 +87,7 @@ COMMAND_PARAMS = {
         ParamSpec("gate_time", float, 5e-6, "detector gate window [s]"),
         ParamSpec("policy", str, "per-detector", "herald policy",
                   ("per-detector", "exclusive")),
-        ParamSpec("trials", _positive_int, 0, "Monte Carlo trials (0 = exact only)"),
+        ParamSpec("trials", _non_negative_int, 0, "Monte Carlo trials (0 = exact only)"),
     ),
     "ghz": (
         ParamSpec("qubits", int, 4, "chain size (even, >= 4)"),
@@ -120,8 +120,14 @@ GLOBAL_PARAMS = (
 _BUDGET_FIELDS = tuple(f.name for f in fields(budget_mod.BudgetParams))
 
 
-def _param_index(command: str) -> dict:
-    return {spec.name: spec for spec in COMMAND_PARAMS[command]}
+def _spec(command: str, key: str) -> ParamSpec:
+    """The spec of parameter ``key`` of ``command``; budget fields parse as floats."""
+    for spec in COMMAND_PARAMS[command]:
+        if spec.name == key:
+            return spec
+    if command == "budget" and key in _BUDGET_FIELDS:
+        return ParamSpec(key, float, None, "BudgetParams field")
+    raise ConfigError(f"unknown parameter {key!r} for command {command!r}")
 
 
 def _parse_value(spec: ParamSpec, raw: str):
@@ -139,16 +145,7 @@ def _parse_override(command: str, text: str) -> tuple:
         raise ConfigError(f"expected key=value, got {text!r}")
     key, raw = text.split("=", 1)
     key = key.strip().replace("-", "_")
-    raw = raw.strip()
-    index = _param_index(command)
-    if key in index:
-        return key, _parse_value(index[key], raw)
-    if command == "budget" and key in _BUDGET_FIELDS:
-        try:
-            return key, float(raw)
-        except ValueError:
-            raise ConfigError(f"bad numeric value for {key}: {raw!r}") from None
-    raise ConfigError(f"unknown parameter {key!r} for command {command!r}")
+    return key, _parse_value(_spec(command, key), raw.strip())
 
 
 def read_config_file(path: Path) -> dict:
@@ -238,8 +235,7 @@ def _resolve_params(command: str, args, config_values: dict) -> dict:
     known = set(params) | {spec.name for spec in GLOBAL_PARAMS}
     for key, raw in config_values.items():
         if key not in known:
-            key, value = _parse_override(command, f"{key}={raw}")
-            params[key] = value
+            params[key] = _parse_value(_spec(command, key), raw)
     for text in getattr(args, "overrides", []) or []:
         key, value = _parse_override(command, text)
         params[key] = value
@@ -253,14 +249,12 @@ def _require_finite(params: dict):
 
 
 def _parse_range(command: str, text: str) -> tuple:
-    """(key, start, step, point count, integral) of one --range; no grid is built."""
+    """(spec, start, step, point count, integral) of one --range; no grid is built."""
     if "=" not in text:
         raise ConfigError(f"expected KEY=START:STOP:STEP, got {text!r}")
     key, spec_text = text.split("=", 1)
     key = key.strip().replace("-", "_")
-    index = _param_index(command)
-    if key not in index and not (command == "budget" and key in _BUDGET_FIELDS):
-        raise ConfigError(f"unknown swept parameter {key!r} for {command!r}")
+    spec = _spec(command, key)
     parts = spec_text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"range for {key} needs START:STOP:STEP, got {spec_text!r}")
@@ -272,17 +266,20 @@ def _parse_range(command: str, text: str) -> tuple:
         raise ConfigError(f"range for {key} needs finite bounds and step: {spec_text!r}")
     if step <= 0.0 or stop < start:
         raise ConfigError(f"range for {key} needs stop >= start and step > 0")
-    integral = key in index and index[key].parse in (int, _positive_int)
+    integral = spec.parse in (int, _non_negative_int)
     if integral and not (start.is_integer() and step.is_integer()):
         raise ConfigError(f"range for integer {key} needs integral start and step")
     span = (stop - start) / step  # overflows to inf on an absurd grid
     count = int(span + 1e-9) + 1 if math.isfinite(span) else math.inf
-    return key, start, step, count, integral
+    return spec, start, step, count, integral
 
 
-def _grid_values(start: float, step: float, count: int, integral: bool) -> tuple:
+def _grid_values(spec: ParamSpec, start: float, step: float, count: int,
+                 integral: bool) -> tuple:
+    """The grid of one --range, each value through the parameter's parser."""
     values = (start + i * step for i in range(count))
-    return tuple(int(v) for v in values) if integral else tuple(values)
+    # float(str(x)) == x, so only the parser's own checks act
+    return tuple(_parse_value(spec, str(int(v) if integral else v)) for v in values)
 
 
 def _output_path(output: Optional[Path]) -> Optional[Path]:
@@ -319,18 +316,18 @@ def parse_args(argv=None) -> RunConfig:
     if args.command != "sweep":
         _bound_trials(inner, params)
         return config
-    specs = [_parse_range(inner, r) for r in args.ranges]
-    if not specs:
+    swept = [_parse_range(inner, r) for r in args.ranges]
+    if not swept:
         raise ConfigError("sweep needs at least one --range")
-    if len(specs) > 2:
+    if len(swept) > 2:
         raise ConfigError("at most 2 swept parameters")
-    names = [spec[0] for spec in specs]
+    names = [r[0].name for r in swept]
     if len(set(names)) != len(names):
         raise ConfigError("swept parameters must be distinct")
-    size = math.prod(spec[3] for spec in specs)
+    size = math.prod(r[3] for r in swept)
     if size > args.max_grid:
         raise WorkBoundError(f"sweep grid has {size} points, bound is {args.max_grid}")
-    ranges = tuple((spec[0], _grid_values(*spec[1:])) for spec in specs)
+    ranges = tuple((r[0].name, _grid_values(*r)) for r in swept)
     _bound_trials(inner, params, ranges)
     return replace(config, sweep_command=inner, ranges=ranges)
 

@@ -20,10 +20,11 @@ Each table entry is built on first use from 8 single steps of
 ``_TransitionGraph.expand``, the only copy of the step rule, and whether a
 trial has succeeded is read from the graph's absorbed states; ``run_trial``
 and ``simulate_growth`` both run the one trial kernel ``_walk_trials``.  The
-kernel tallies the steps of consecutive trials together into one int64
-array with a row of counters per trial (Python ints once a count would pass
-int64), and ``simulate_growth`` checks every trial's qubit ledger on that
-array in one comparison.
+kernel tallies the steps of consecutive trials together: the six step
+counters of each trial, which grow by at most 2 a step, into a row of an
+int64 array, and its generation attempts, which pass int64 when blocks are
+rare, into a list of Python ints.  ``simulate_growth`` checks every trial's
+qubit ledger on that array in one comparison.
 
 Trial ``t`` of a run with seed ``s`` draws from the stream of
 ``default_rng([s, t])``.  ``simulate_growth`` computes those PCG64 states in
@@ -80,7 +81,7 @@ class GrowthPolicy:
 
 @dataclass
 class ClusterInventory:
-    """Mutable per-trial ledger: cluster sizes in stock plus non-decreasing counters."""
+    """Per-trial ledger: cluster sizes in stock plus the trial's counters."""
 
     clusters: list = field(default_factory=list)
     consumed_ghz_blocks: int = 0
@@ -127,13 +128,9 @@ _BASE_OF = operator.itemgetter(_BASE)
 # Column base of the stop node that the slots of unbuilt entries point at.
 _STOP = -1
 # Table rows: blocks, link attempts, link successes, qubits measured, qubits
-# discarded and steps taken, then the mask of the draw steps.
+# discarded and steps taken, which are the step counters of a trial, then
+# the mask of the draw steps.
 _ROWS = 7
-# Counters of a trial: blocks, generation attempts, link attempts, link
-# successes, qubits measured, qubits discarded and steps taken; the first six
-# table rows add to the columns _FROM_TABLE.
-_COLUMNS = 7
-_FROM_TABLE = [0, 2, 3, 4, 5, 6]
 
 
 class _TransitionGraph:
@@ -287,46 +284,29 @@ def _extra_attempts(u: np.ndarray, log_miss: float) -> np.ndarray:
 
 
 def _tally(graph: _TransitionGraph, log_miss: float, ids: list, uniforms: list,
-           starts: list) -> np.ndarray:
-    """The counter rows of buffered byte steps, one row per trial, in ``_COLUMNS`` order.
+           starts: list) -> tuple:
+    """(counts, attempts) of buffered byte steps, one trial each.
 
     ``ids`` holds the table column of each byte step and ``uniforms`` its 8
-    uniforms; the byte steps of row ``i`` begin at ``starts[i]``.  The rows
-    are int64, or Python ints once a batch's attempt counts pass 2^53.
+    uniforms; the byte steps of trial ``i`` begin at ``starts[i]``.
+    ``counts[i]`` is the int64 row of its step counters, in table row order,
+    and ``attempts[i]`` its generation attempts, a Python int: one per block
+    plus the extra geometric ones.
     """
     entries = graph.table.take(np.fromiter(ids, np.intp, len(ids)), axis=1)
-    counts = np.empty((len(starts), _COLUMNS), np.int64)
-    counts[:, _FROM_TABLE] = np.add.reduceat(entries[:6], starts, axis=1, dtype=np.int64).T
-    counts[:, 1] = counts[:, 0]  # one generation attempt per block, plus the extra ones
-    if log_miss:
-        extra = np.zeros(_BYTE * len(ids))
-        drawn = np.flatnonzero(np.unpackbits(entries[6], bitorder="little"))
-        extra[drawn] = _extra_attempts(np.concatenate(uniforms).take(drawn), log_miss)
-        starts = [_BYTE * start for start in starts]
-        if extra.sum() < 2.0**53:  # float sums of the integer floors stay exact
-            counts[:, 1] += np.add.reduceat(extra, starts).astype(np.int64)
-        else:
-            counts = counts.astype(object)
-            # an object array: numpy turns a list that mixes sums under 2^63
-            # with one in [2^63, 2^64) into float64, rounding every sum
-            counts[:, 1] += np.array([sum(map(int, piece.tolist()))
-                                      for piece in np.split(extra, starts[1:])], object)
-    return counts
-
-
-def _added(rows: np.ndarray, first: int, counts: np.ndarray) -> np.ndarray:
-    """``rows`` with ``counts`` added from row ``first`` on.
-
-    Only row ``first`` can hold counts already, carried over from earlier
-    batches of the same trial.  The rows turn to Python ints once either
-    array holds them or a carried sum would pass int64, where numpy's
-    in-place add would wrap around.
-    """
-    carried = map(operator.add, rows[first].tolist(), counts[0].tolist())
-    if object in (rows.dtype, counts.dtype) or max(carried) >= 2**63:
-        rows, counts = rows.astype(object, copy=False), counts.astype(object, copy=False)
-    rows[first:first + len(counts)] += counts
-    return rows
+    counts = np.add.reduceat(entries[:6], starts, axis=1, dtype=np.int64).T
+    blocks = counts[:, 0].tolist()
+    if not log_miss:
+        return counts, blocks
+    extra = np.zeros(_BYTE * len(ids))
+    drawn = np.flatnonzero(np.unpackbits(entries[6], bitorder="little"))
+    extra[drawn] = _extra_attempts(np.concatenate(uniforms).take(drawn), log_miss)
+    starts = [_BYTE * start for start in starts]
+    if extra.sum() < 2.0**53:  # float sums of the integer floors stay exact
+        sums = np.add.reduceat(extra, starts).astype(np.int64).tolist()
+    else:
+        sums = [sum(map(int, piece.tolist())) for piece in np.split(extra, starts[1:])]
+    return counts, list(map(operator.add, blocks, sums))
 
 
 def _shr16(x: np.ndarray) -> np.ndarray:
@@ -407,9 +387,10 @@ def _trial_generators(seed: int, trials: int):
 
 def _walk_trials(policy: GrowthPolicy, p_block: float, eta_prime: float, rngs,
                  trials: int, chunks: tuple) -> tuple:
-    """Run one growth trial per generator; return (rows, ends, won).
+    """Run one growth trial per generator; return (rows, attempts, ends, won).
 
-    ``rows[t]`` holds the counters of trial t in ``_COLUMNS`` order,
+    ``rows[t]`` holds the step counters of trial t, an int64 row in table
+    row order, ``attempts[t]`` its generation attempts as a Python int,
     ``ends[t]`` its final slot state (a, b) and ``won[t]`` whether that
     state is absorbed, i.e. the trial reached the target.  Each trial draws
     uniforms from its generator in chunks of the sizes ``chunks`` in turn,
@@ -434,15 +415,24 @@ def _walk_trials(policy: GrowthPolicy, p_block: float, eta_prime: float, rngs,
     graph = _graph(policy.block_size, policy.target_size)
     absorbed = graph.absorbed
     log_miss = math.log1p(-p_block) if p_block < 1.0 else 0.0
-    rows = np.zeros((trials, _COLUMNS), np.int64)
+    rows = np.zeros((trials, 6), np.int64)
+    attempts = [0] * trials
     ends, won = [], []
+
+    def tally():
+        # only trial first can hold counts already, from earlier batches
+        counts, added = _tally(graph, log_miss, ids, uniforms, starts)
+        stop = first + len(added)
+        rows[first:stop] += counts
+        attempts[first:stop] = map(operator.add, attempts[first:stop], added)
+
     # the buffer holds the byte steps of trials first, first + 1, ...
     ids, uniforms, starts, first = [], [], [], 0
     for t, rng in enumerate(rngs):
         node, left = graph.start, policy.step_cap
         for chunk in chain(chunks, repeat(chunks[-1])):
             if len(ids) >= _TALLY_BYTES:
-                rows = _added(rows, first, _tally(graph, log_miss, ids, uniforms, starts))
+                tally()
                 ids, uniforms, starts, first = [], [], [], t
             if first + len(starts) == t:
                 starts.append(len(ids))
@@ -476,16 +466,16 @@ def _walk_trials(policy: GrowthPolicy, p_block: float, eta_prime: float, rngs,
         ends.append(graph.states[code])
         won.append(absorbed[code])
     if ids:
-        rows = _added(rows, first, _tally(graph, log_miss, ids, uniforms, starts))
-    return rows, ends, won
+        tally()
+    return rows, attempts, ends, won
 
 
-def _inventory(row: np.ndarray, end) -> ClusterInventory:
-    """The ledger of a trial from its counter row and final slot state."""
-    blocks, gens, links, wins, measured, dropped, steps = row.tolist()
+def _inventory(row: np.ndarray, attempts: int, end) -> ClusterInventory:
+    """The ledger of a trial from its step counters, attempts and final slot state."""
+    blocks, links, wins, measured, dropped, steps = row.tolist()
     return ClusterInventory(
         clusters=[size for size in end if size], consumed_ghz_blocks=blocks,
-        generation_attempts=gens, link_attempts=links, link_successes=wins,
+        generation_attempts=attempts, link_attempts=links, link_successes=wins,
         elapsed_steps=steps, qubits_measured=measured, qubits_discarded=dropped)
 
 
@@ -502,8 +492,9 @@ def run_trial(policy: GrowthPolicy, p_block: float, eta_prime: float,
     and the generator's final state are deterministic for a given generator
     state.
     """
-    rows, (end,), (won,) = _walk_trials(policy, p_block, eta_prime, [rng], 1, (_DRAW_CHUNK,))
-    return won, _inventory(rows[0], end)
+    rows, (attempts,), (end,), (won,) = _walk_trials(policy, p_block, eta_prime, [rng], 1,
+                                                     (_DRAW_CHUNK,))
+    return won, _inventory(rows[0], attempts, end)
 
 
 @dataclass(frozen=True)
@@ -540,8 +531,8 @@ class GrowthStatistics:
         return out
 
 
-def _mean_std(counts: np.ndarray) -> tuple:
-    values = counts.astype(np.float64)
+def _mean_std(counts) -> tuple:
+    values = np.asarray(counts, np.float64)
     mean = float(values.mean())
     std = float(values.std(ddof=1)) if len(values) > 1 else 0.0
     return mean, std
@@ -581,15 +572,15 @@ def simulate_growth(policy: GrowthPolicy, eta: float, eta_prime: float,
         raise ValueError("trials must be >= 1")
     p_block, _ = growth_rates(policy, eta, eta_prime)
 
-    rows, ends, won = _walk_trials(policy, p_block, eta_prime,
-                                   _trial_generators(seed, trials), trials, _DRAW_CHUNKS)
+    rows, gens, ends, won = _walk_trials(policy, p_block, eta_prime,
+                                         _trial_generators(seed, trials), trials, _DRAW_CHUNKS)
     ends = np.array(ends, np.int64)
-    blocks, gens, links, wins, measured, dropped, steps = rows.T
+    blocks, links, wins, measured, dropped, steps = rows.T
     # every trial's qubit ledger, as ClusterInventory.assert_ledger_balanced checks one
     broken = np.flatnonzero(blocks * policy.block_size != ends.sum(axis=1) + measured + dropped)
     if broken.size:
         t = int(broken[0])
-        _inventory(rows[t], ends[t]).assert_ledger_balanced(policy.block_size)
+        _inventory(rows[t], gens[t], ends[t]).assert_ledger_balanced(policy.block_size)
     successes = sum(won)
     link_successes = int(wins.sum())
     link_attempts = int(links.sum())

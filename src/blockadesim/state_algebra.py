@@ -10,9 +10,10 @@ Public constructors validate every label.  Operations that build new keys
 from the keys of an existing (already validated) state use the internal
 ``_trusted`` constructors instead, which skip that check.
 
-Two numeric tolerances are pinned here and used everywhere: ``ATOL_STATE``
-for algebraic identities (norms, traces, hermiticity) and the looser
-``ATOL_PSD`` for eigenvalue positivity checks, which accumulate more rounding.
+Two numeric tolerances are pinned here: ``ATOL_STATE`` for algebraic
+identities (norms, traces, hermiticity) and the looser ``ATOL_PSD``, which
+bounds the imaginary part ``fidelity`` tolerates and is the eigenvalue floor
+of the positivity checks in the tests, where more rounding accumulates.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from typing import Iterable, Iterator, Mapping, Union
 # Algebraic tolerance: norms, traces, hermiticity, unitarity.
 ATOL_STATE = 1e-12
 
-# Eigenvalue floor when asserting positive semidefiniteness.
+# Largest imaginary part of a fidelity, and the eigenvalue floor when the
+# tests assert positive semidefiniteness.
 ATOL_PSD = 1e-10
 
 # Collective levels of one blockaded ensemble: shared ground state, the

@@ -462,6 +462,21 @@ def test_sweep_grid_bound_is_checked_before_the_grid_is_built(monkeypatch, capsy
     assert "bound" in capsys.readouterr().err
 
 
+def test_swept_values_go_through_the_parameters_own_parser(monkeypatch, capsys):
+    def no_handler(*args):
+        raise AssertionError("a handler ran")
+
+    monkeypatch.setattr(cli, "HANDLERS", dict.fromkeys(cli.HANDLERS, no_handler))
+    # the same checks as the flags: choices and trials >= 0
+    for argv in (["sweep", "entangle", "--range", "policy=1:2:1"],
+                 ["sweep", "budget", "--range", "preset=1:2:1"],
+                 ["sweep", "entangle", "--range", "trials=-5:5:5"]):
+        assert main(argv) == EXIT_CONFIG, argv
+    err = capsys.readouterr().err
+    assert "policy must be one of" in err and "preset must be one of" in err
+    assert "bad value for trials" in err
+
+
 def test_sweep_rejects_fractional_integer_ranges(capsys):
     assert main(["sweep", "grow", "--range", "trials=1:3:0.5"]) == EXIT_CONFIG
     assert main(["sweep", "ghz", "--range", "qubits=4.5:8:2"]) == EXIT_CONFIG

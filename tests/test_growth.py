@@ -449,15 +449,16 @@ def test_walk_trials_gives_the_same_trials_under_the_draw_schedule():
     for (block, target), cap in itertools.product(((4, 5), (4, 12), (6, 14), (4, 20)),
                                                   SCHEDULE_CAPS):
         policy = GrowthPolicy(block, target, cap)
-        # p_block 5e-17 turns the rows to Python ints
+        # p_block 5e-17 takes the attempt counts past int64
         for p_block, eta_prime, seed in ((0.28125, 0.5, 1), (0.6, 0.05, 2), (5e-17, 0.9, 3)):
             want, got = (growth._walk_trials(policy, p_block, eta_prime,
                                              growth._trial_generators(seed, 40), 40, chunks)
                          for chunks in ((growth._DRAW_CHUNK,), growth._DRAW_CHUNKS))
             assert got[0].dtype == want[0].dtype
             assert got[0].tolist() == want[0].tolist(), (block, target, cap, p_block)
+            # the attempts lists, final states and outcomes
             assert got[1:] == want[1:], (block, target, cap, p_block)
-            ends_in.update(zip(want[0][:, 6].tolist(), want[2]))
+            ends_in.update(zip(want[0][:, 5].tolist(), want[3]))
     # trials reach the target inside each of the first three chunks, and
     # caps cut chunks 1 to 4
     steps = [s for s, won in ends_in if won]
@@ -500,18 +501,19 @@ def test_attempts_carried_across_tallies_stay_exact_past_int64(monkeypatch):
     policy = GrowthPolicy(4, 20, 800_000)
     want = reference_trial(policy, 3e-14, 1e-6, np.random.default_rng(5))
     assert want[1].generation_attempts >= 2**63
-    dtypes = []
+    dtypes, types = [], set()
     tally = growth._tally
 
     def recording(*args):
-        counts = tally(*args)
+        counts, attempts = tally(*args)
         dtypes.append(counts.dtype)
-        return counts
+        types.update(map(type, attempts))
+        return counts, attempts
 
     monkeypatch.setattr(growth, "_tally", recording)
     monkeypatch.setattr(growth, "_TALLY_BYTES", 1)
     assert run_trial(policy, 3e-14, 1e-6, np.random.default_rng(5)) == want
-    assert len(dtypes) > 1000 and set(dtypes) == {np.dtype(np.int64)}
+    assert len(dtypes) > 1000 and set(dtypes) == {np.dtype(np.int64)} and types == {int}
 
 
 def test_a_batch_of_trials_past_int64_tallies_exact_python_ints(monkeypatch):
@@ -519,14 +521,13 @@ def test_a_batch_of_trials_past_int64_tallies_exact_python_ints(monkeypatch):
     # one batch tallies all the trials together
     monkeypatch.setattr(growth, "_TALLY_BYTES", 10**6)
     policy = GrowthPolicy(4, 12, 1791)
-    rows, _, won = growth._walk_trials(policy, 5e-17, 0.9, growth._trial_generators(3, 40),
-                                       40, (growth._DRAW_CHUNK,))
-    attempts = []
-    for t, (row, ok) in enumerate(zip(rows.tolist(), won)):
+    _, attempts, _, won = growth._walk_trials(policy, 5e-17, 0.9,
+                                              growth._trial_generators(3, 40), 40,
+                                              (growth._DRAW_CHUNK,))
+    for t, (gens, ok) in enumerate(zip(attempts, won)):
         want_ok, inv = reference_trial(policy, 5e-17, 0.9, np.random.default_rng([3, t]))
-        assert (ok, row[1]) == (want_ok, inv.generation_attempts), t
-        assert type(row[1]) is int
-        attempts.append(row[1])
+        assert (ok, gens) == (want_ok, inv.generation_attempts), t
+        assert type(gens) is int
     assert max(attempts) >= 2**63 > min(attempts)
     policy = GrowthPolicy(4, 16, 1795)
     got = simulate_growth(policy, 1e-8, 0.05, seed=33, trials=120)
