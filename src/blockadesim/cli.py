@@ -178,10 +178,20 @@ class RunConfig:
     ranges: tuple = ()
 
 
+def _flag_type(spec: ParamSpec) -> Callable:
+    """argparse type of ``spec``'s flag: ``_parse_value``, with its reason on a bad value."""
+    def parse(text: str):
+        try:
+            return _parse_value(spec, text)
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
+
+
 def _add_flags(parser: argparse.ArgumentParser, specs):
     """One flag per spec, None when absent so that _resolve sees it unset."""
     for spec in specs:
-        kwargs = {"choices": spec.choices} if spec.choices else {"type": spec.parse}
+        kwargs = {"choices": spec.choices} if spec.choices else {"type": _flag_type(spec)}
         parser.add_argument("--" + spec.name.replace("_", "-"), dest=spec.name,
                             default=None, help=spec.help, **kwargs)
 

@@ -26,13 +26,23 @@ detector (HeraldPolicy.EXCLUSIVE) instead buys fidelity back at low eta.
 Four-qubit chain
 ----------------
 Two pair stages run in parallel and their output ports are cross-recombined
-(port 1 with port 3, port 2 with port 4) before detection.  Exactly four
-two-click patterns are accepted; each comes with a fixed local correction C
-(bit flips plus one pi phase) mapping the conditional state onto the
-canonical |GHZ> = (|gggg> + |ssss>) / sqrt(2).  Acceptance probability is
-eta^2 / 2.  The correction is applied to the target: since
-<GHZ| C rho C^dagger |GHZ> = <C^dagger GHZ| rho |C^dagger GHZ>, each
-conditional state is scored against the pure state C^dagger |GHZ>.
+(port 1 with port 3, port 2 with port 4) before detection.  Four two-click
+patterns are accepted, with acceptance probability eta^2 / 2.
+
+Accepted patterns and targets
+-----------------------------
+Neither circuit lists its accepted click patterns or targets by hand; both
+follow from the circuit's ideal limit (``_ideal_targets``).  With every
+photon absorbed and ideal detectors, each click pattern heralds pure
+register branches.  A pattern is accepted when exactly one occupation group
+heralds it and that branch is a two-term complementary g/s state of equal
+weights.  Such a state is C^dagger |GHZ> up to a global phase, for a local
+correction C of bit flips and phases and |GHZ> = (|g..g> + |s..s>) / sqrt(2),
+so the normalised branch is the pattern's target.  Since
+<GHZ| C rho C^dagger |GHZ> = <C^dagger GHZ| rho |C^dagger GHZ>, scoring a
+conditional state against its target scores the corrected state against
+|GHZ>, and fidelity ignores the global phase.  The pair entangler's two
+single-click patterns give the up and down targets above.
 
 Register reduction
 ------------------
@@ -66,9 +76,9 @@ from .ensemble import (
     STORAGE_LEVEL_OF,
     AbsorptionModel,
     blockade_absorb,
+    # unused here, like partial_trace below: perfbench/tracer.py rebinds the names
     gate_phase,
     gate_x,
-    # unused here, like partial_trace below: perfbench/tracer.py rebinds the name
     transfer_to_storage,
 )
 from .optics import (
@@ -95,7 +105,6 @@ DOWN = "down"
 
 # recombiner output port assignment for the pair entangler
 _PAIR_MODE_OF = {UP: 2, DOWN: 3}
-_PAIR_SIGN_OF = {UP: -1, DOWN: +1}
 
 
 class HeraldPolicy(enum.Enum):
@@ -120,15 +129,6 @@ def pair_register() -> tuple:
         OpticalMode(2, "port1"),
         OpticalMode(2, "port2"),
     )
-
-
-def psi_pair(sign: int) -> HybridState:
-    """Storage-basis herald target (|s g> + sign * i |g s>) / sqrt(2)."""
-    if sign not in (-1, 1):
-        raise ValueError("sign must be +1 or -1")
-    subs = (EnsembleQudit("A"), EnsembleQudit("B"))
-    r = 1.0 / math.sqrt(2.0)
-    return HybridState(subs, {("s", "g"): r, ("g", "s"): sign * 1j * r})
 
 
 def _recombine(state: HybridState, mode_a: int, mode_b: int) -> HybridState:
@@ -156,7 +156,6 @@ class HeraldBranch:
 
     probability: float
     conditional_state: Optional[DensityOperator]  # storage basis, registers (A, B)
-    target_sign: int
     fidelity: Optional[float]
 
 
@@ -180,7 +179,8 @@ class EntangleOutcome:
 
 
 # (circuit, absorption model) pairs whose grouped branches stay cached.  A
-# sweep holds one absorption model fixed, so a handful is plenty.
+# sweep holds one absorption model fixed, and each circuit's ideal limit
+# (_ideal_targets) takes one more entry, so a handful is plenty.
 REGISTER_GROUPS_CACHE_SIZE = 4
 
 
@@ -213,6 +213,28 @@ def _register_groups(pre_detection_state, modes: tuple,
         (occ, HybridState._trusted(registers, amps)) for occ, amps in grouped.items()))
 
 
+def _ideal_targets(pre_detection_state, modes: tuple) -> dict:
+    """{clicks: target} for each click pattern that the circuit's ideal limit accepts.
+
+    The ideal limit is ``AbsorptionModel()`` with ideal detectors; the rule
+    and why the normalised branch is the target are in the module docstring.
+    """
+    heralded = {}
+    for occ, branch in _register_groups(pre_detection_state, modes, AbsorptionModel()).branches:
+        heralded.setdefault(tuple(n > 0 for n in occ), []).append(branch)
+    targets = {}
+    for clicks, branches in heralded.items():
+        branch = branches[0]
+        if len(branches) != 1 or len(branch) != 2:
+            continue
+        (key_a, a), (key_b, b) = branch
+        if (all({x, y} == {"g", "s"} for x, y in zip(key_a, key_b))
+                and math.isclose(abs(a), abs(b), rel_tol=1e-12)):
+            norm = branch.norm()
+            targets[clicks] = HybridState(branch.subsystems, {key_a: a / norm, key_b: b / norm})
+    return targets
+
+
 def entangle_pair_exact(absorption: AbsorptionModel = AbsorptionModel(),
                         detector: DetectorModel = DetectorModel.ideal(),
                         policy: HeraldPolicy = HeraldPolicy.PER_DETECTOR) -> EntangleOutcome:
@@ -221,11 +243,14 @@ def entangle_pair_exact(absorption: AbsorptionModel = AbsorptionModel(),
     Branch probabilities and conditional states follow the chosen herald
     policy; the conditional states are mixed from the cached register
     branches (see the module docstring), so they hold the two ensembles in
-    the storage basis.
+    the storage basis.  Up is scored against the ideal target of the
+    (True, False) pattern and down against that of (False, True).
     """
     modes = (_PAIR_MODE_OF[UP], _PAIR_MODE_OF[DOWN])
     table = detect_all_probabilities(
         _register_groups(pair_pre_detection_state, modes, absorption), detector)
+    ideal = _ideal_targets(pair_pre_detection_state, modes)
+    targets = {UP: ideal[(True, False)], DOWN: ideal[(False, True)]}
 
     def joint(first: bool, second: bool) -> tuple:
         return table[(first, second)]
@@ -246,14 +271,13 @@ def entangle_pair_exact(absorption: AbsorptionModel = AbsorptionModel(),
                 mix.append((p, rho))
         if prob > 0.0:
             conditional = DensityOperator.mixture(mix).scaled(1.0 / prob)
-            fid = fidelity(conditional, psi_pair(_PAIR_SIGN_OF[which]))
+            fid = fidelity(conditional, targets[which])
         else:
             conditional = None
             fid = None
         branches[which] = HeraldBranch(
             probability=prob,
             conditional_state=conditional,
-            target_sign=_PAIR_SIGN_OF[which],
             fidelity=fid,
         )
 
@@ -364,19 +388,6 @@ def entangle_pair_sampled(absorption: AbsorptionModel, detector: DetectorModel,
 # ---------------------------------------------------------------------------
 # four-qubit chain
 
-# Accepted two-click patterns, ordered (D1, D2, D3, D4), and the local
-# correction mapping each conditional state to (|gggg> + |ssss>)/sqrt(2).
-# Corrections are ("x", register) bit flips and ("phase", register, angle)
-# logical Z rotations on registers A=0, B=1, C=2, D=3.
-GHZ_CORRECTIONS = {
-    (True, True, False, False): (("x", 1), ("x", 3)),
-    (True, False, True, False): (("x", 1), ("x", 2), ("phase", 0, math.pi)),
-    (False, True, False, True): (("x", 1), ("x", 2), ("phase", 0, math.pi)),
-    (False, False, True, True): (("x", 1), ("x", 3)),
-}
-
-ACCEPTED_GHZ_PATTERNS = frozenset(GHZ_CORRECTIONS)
-
 # Modes watched by D1..D4: port1, port2, port4, port3 (see ghz4_exact).
 GHZ_DETECTED_MODES = (4, 5, 7, 6)
 
@@ -394,12 +405,6 @@ def ghz_register() -> tuple:
     )
 
 
-def canonical_ghz() -> HybridState:
-    subs = tuple(EnsembleQudit(name) for name in "ABCD")
-    r = 1.0 / math.sqrt(2.0)
-    return HybridState(subs, {("g",) * 4: r, ("s",) * 4: r})
-
-
 def ghz_pre_detection_state(absorption: AbsorptionModel) -> HybridState:
     """State of (A..D, port1..port4) after both stages and cross-recombination."""
     state = HybridState.basis(ghz_register(), ("e", "e", "e", "e", 1, 1, 1, 1))
@@ -410,39 +415,12 @@ def ghz_pre_detection_state(absorption: AbsorptionModel) -> HybridState:
     return beam_splitter(state, 5, 7)
 
 
-def apply_corrections(state: HybridState, corrections) -> HybridState:
-    """Apply a GHZ correction listing to a pure state over (A, B, C, D)."""
-    for op in corrections:
-        if op[0] == "x":
-            state = gate_x(state, op[1])
-        elif op[0] == "phase":
-            state = gate_phase(state, op[1], op[2])
-        else:
-            raise ValueError(f"unknown correction {op!r}")
-    return state
-
-
-def _corrected_targets() -> dict:
-    """{corrections: C^dagger |GHZ>} for each distinct correction C, () included.
-
-    C^dagger undoes the gates in reverse order: X undoes itself, and the
-    phase rotation by -phi undoes the one by phi.
-    """
-    ghz = canonical_ghz()
-    return {
-        corrections: apply_corrections(ghz, tuple(
-            op if op[0] == "x" else (op[0], op[1], -op[2]) for op in reversed(corrections)))
-        for corrections in {(), *GHZ_CORRECTIONS.values()}
-    }
-
-
 @dataclass(frozen=True)
 class GhzBranch:
     pattern: tuple  # one click bool per detector, (D1, D2, D3, D4)
     probability: float
     accepted: bool
     conditional_state: Optional[DensityOperator]  # storage basis, (A, B, C, D)
-    corrections: tuple
     fidelity: Optional[float]
 
 
@@ -459,10 +437,11 @@ def ghz4_exact(absorption: AbsorptionModel = AbsorptionModel(),
 
     Detector D1 watches port 1, D2 port 2, D3 port 4, D4 port 3 (the two
     cross-recombiners feed (D1, D4) and (D2, D3) respectively).  Each
-    pattern's fidelity is that of its corrected state, scored against its
-    corrected target (see the module docstring); every pattern's raw
-    conditional state is reported for diagnostics.  The conditional states
-    are mixed from the cached register branches.
+    accepted pattern's fidelity is that of its corrected state, scored
+    against the pattern's ideal target (see the module docstring); a
+    rejected pattern's fidelity is None.  Every pattern's raw conditional
+    state is reported for diagnostics.  The conditional states are mixed
+    from the cached register branches.
     """
     table = detect_all_probabilities(
         _register_groups(ghz_pre_detection_state, GHZ_DETECTED_MODES, absorption), detector)
@@ -470,19 +449,17 @@ def ghz4_exact(absorption: AbsorptionModel = AbsorptionModel(),
     accepted = []
     rejected = []
     success = 0.0
-    targets = _corrected_targets()
+    targets = _ideal_targets(ghz_pre_detection_state, GHZ_DETECTED_MODES)
     for pattern, (prob, conditional) in sorted(table.items()):
-        is_accepted = pattern in ACCEPTED_GHZ_PATTERNS
-        corrections = GHZ_CORRECTIONS.get(pattern, ())
+        is_accepted = pattern in targets
         fid = None
-        if conditional is not None:
-            fid = fidelity(conditional, targets[corrections])
+        if is_accepted and conditional is not None:
+            fid = fidelity(conditional, targets[pattern])
         branch = GhzBranch(
             pattern=pattern,
             probability=prob,
             accepted=is_accepted,
             conditional_state=conditional,
-            corrections=corrections,
             fidelity=fid,
         )
         if is_accepted:

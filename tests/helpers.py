@@ -1,11 +1,12 @@
-"""Shared test utilities: state oracles, random states, statistics and the
-reference growth trial."""
+"""Shared test utilities: state oracles, hand-written protocol targets,
+random states, statistics and the reference growth trial."""
 
 import itertools
 import math
 
 import numpy as np
 
+from blockadesim.ensemble import gate_phase, gate_x
 from blockadesim.growth import ClusterInventory, GrowthStatistics, growth_rates
 from blockadesim.optics import _click_pair
 from blockadesim.protocol import link_success_probability
@@ -88,6 +89,57 @@ def pattern_weights_loop(det, cutoffs, occupations):
             weights.append(w)
         out.append((pattern, tuple(weights)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# hand-written targets: the independent check of protocol._ideal_targets
+
+def psi_pair(sign):
+    """Storage-basis pair target (|s g> + sign * i |g s>) / sqrt(2); up is -1, down +1."""
+    if sign not in (-1, 1):
+        raise ValueError("sign must be +1 or -1")
+    subs = (EnsembleQudit("A"), EnsembleQudit("B"))
+    r = 1.0 / math.sqrt(2.0)
+    return HybridState(subs, {("s", "g"): r, ("g", "s"): sign * 1j * r})
+
+
+# Accepted two-click patterns of the four-qubit chain, ordered (D1, D2, D3,
+# D4), and the local correction mapping each conditional state to
+# (|gggg> + |ssss>)/sqrt(2).  Corrections are ("x", register) bit flips and
+# ("phase", register, angle) logical Z rotations on registers A=0 .. D=3.
+GHZ_CORRECTIONS = {
+    (True, True, False, False): (("x", 1), ("x", 3)),
+    (True, False, True, False): (("x", 1), ("x", 2), ("phase", 0, math.pi)),
+    (False, True, False, True): (("x", 1), ("x", 2), ("phase", 0, math.pi)),
+    (False, False, True, True): (("x", 1), ("x", 3)),
+}
+
+ACCEPTED_GHZ_PATTERNS = frozenset(GHZ_CORRECTIONS)
+
+
+def canonical_ghz():
+    subs = tuple(EnsembleQudit(name) for name in "ABCD")
+    r = 1.0 / math.sqrt(2.0)
+    return HybridState(subs, {("g",) * 4: r, ("s",) * 4: r})
+
+
+def apply_corrections(state, corrections):
+    """Apply a GHZ correction listing to a pure state over (A, B, C, D)."""
+    for op in corrections:
+        if op[0] == "x":
+            state = gate_x(state, op[1])
+        elif op[0] == "phase":
+            state = gate_phase(state, op[1], op[2])
+        else:
+            raise ValueError(f"unknown correction {op!r}")
+    return state
+
+
+def corrected_target(corrections):
+    """C^dagger |GHZ> for the correction C: the gates undone in reverse order
+    (X undoes itself, the phase rotation by -phi undoes the one by phi)."""
+    return apply_corrections(canonical_ghz(), tuple(
+        op if op[0] == "x" else (op[0], op[1], -op[2]) for op in reversed(corrections)))
 
 
 def random_register(rng, max_subsystems=3, cutoff=2):

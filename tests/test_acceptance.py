@@ -26,14 +26,12 @@ from blockadesim.optics import (
     group_occupations,
 )
 from blockadesim.protocol import (
-    ACCEPTED_GHZ_PATTERNS,
     entangle_pair_exact,
     entangle_pair_sampled,
     ghz4_exact,
     ghz_success_probability,
     pair_register,
     pair_pre_detection_state,
-    psi_pair,
 )
 from blockadesim.state_algebra import (
     EnsembleQudit,
@@ -41,7 +39,14 @@ from blockadesim.state_algebra import (
     OpticalMode,
     fidelity,
 )
-from helpers import random_optical_pair, random_state, tensor
+from helpers import (
+    ACCEPTED_GHZ_PATTERNS,
+    canonical_ghz,
+    psi_pair,
+    random_optical_pair,
+    random_state,
+    tensor,
+)
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -138,8 +143,9 @@ def test_criterion_4_ghz_circuit(capsys):
                 assert branch.fidelity > 1.0 - 1e-10, (eta, branch.pattern)
             # unit fidelity happens on exactly those four patterns
             for branch in out.rejected:
-                if branch.probability > 0.0 and branch.fidelity is not None:
-                    assert branch.fidelity < 0.5, (eta, branch.pattern)
+                if branch.probability > 0.0 and branch.conditional_state is not None:
+                    raw = fidelity(branch.conditional_state, canonical_ghz())
+                    assert raw < 0.5, (eta, branch.pattern)
 
 
 def test_criterion_5_error_budget(capsys):

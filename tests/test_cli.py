@@ -138,6 +138,21 @@ def test_argparse_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, spec", [
+    (["entangle", "--trials", "-5"], ("entangle", "trials")),
+    (["ghz", "--qubits", "x"], ("ghz", "qubits")),
+])
+def test_bad_flag_value_gives_the_parse_reason(argv, spec, capsys):
+    # a flag refuses a bad value with the reason --set and config files give
+    with pytest.raises(ConfigError) as refused:
+        cli._parse_value(cli._spec(*spec), argv[-1])
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].endswith(str(refused.value)), err
+    assert "_non_negative_int" not in err
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out

@@ -10,13 +10,9 @@ from blockadesim.cli import parse_args, run
 from blockadesim.ensemble import AbsorptionModel, transfer_to_storage
 from blockadesim.optics import DetectorModel, detect_outcomes, group_occupations
 from blockadesim.protocol import (
-    ACCEPTED_GHZ_PATTERNS,
     DOWN,
-    GHZ_CORRECTIONS,
     UP,
     HeraldPolicy,
-    apply_corrections,
-    canonical_ghz,
     entangle_pair_exact,
     entangle_pair_sampled,
     ghz4_exact,
@@ -24,7 +20,6 @@ from blockadesim.protocol import (
     ghz_success_probability,
     link_success_probability,
     pair_pre_detection_state,
-    psi_pair,
 )
 from blockadesim.state_algebra import (
     DensityOperator,
@@ -34,7 +29,17 @@ from blockadesim.state_algebra import (
     fidelity,
     partial_trace,
 )
-from helpers import assert_valid, assert_within_3sigma, element
+from helpers import (
+    ACCEPTED_GHZ_PATTERNS,
+    GHZ_CORRECTIONS,
+    apply_corrections,
+    assert_valid,
+    assert_within_3sigma,
+    canonical_ghz,
+    corrected_target,
+    element,
+    psi_pair,
+)
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -82,8 +87,6 @@ def test_entangle_ideal_per_detector():
     assert out.down.fidelity == pytest.approx(1.0, abs=1e-10)
     assert out.heralded_fidelity == pytest.approx(1.0, abs=1e-10)
     # herald signs: up detector tags the minus state, down the plus state
-    assert out.up.target_sign == -1
-    assert out.down.target_sign == +1
     assert fidelity(out.up.conditional_state, psi_pair(-1)) == pytest.approx(1.0, abs=1e-10)
     assert fidelity(out.down.conditional_state, psi_pair(+1)) == pytest.approx(1.0, abs=1e-10)
 
@@ -130,6 +133,33 @@ def test_entangle_dark_counts_degrade_fidelity():
     noisy = entangle_pair_exact(AbsorptionModel(0.989), det)
     assert noisy.up.fidelity < clean.up.fidelity
     assert noisy.success_probability > clean.success_probability
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.7, 0.3, 0.0])
+@pytest.mark.parametrize("rate", [0.0, 300.0, 3e4, 3e5])
+def test_entangle_dark_counts_closed_form(eta, rate):
+    # oracle independent of the click POVM: at p_abs = 1 the photon leaves by
+    # the herald's own port (right state) or the partner's (the orthogonal
+    # one), each with probability 1/2.  A detector fires with c = 1 - (1 - d)
+    # (1 - eta) on its photon and with the dark click probability d without.
+    gate = 5e-6
+    d = 1.0 - math.exp(-rate * gate)
+    c = 1.0 - (1.0 - d) * (1.0 - eta)
+    det = DetectorModel(efficiency=eta, dark_count_rate_hz=rate, gate_time_s=gate)
+    closed = {
+        HeraldPolicy.PER_DETECTOR: (1.0 - (1.0 - d) ** 2 * (1.0 - eta), c, c + d),
+        HeraldPolicy.EXCLUSIVE: (c * (1.0 - d) + (1.0 - c) * d, c * (1.0 - d),
+                                 c * (1.0 - d) + (1.0 - c) * d),
+    }
+    for policy, (success, right, heralded) in closed.items():
+        out = entangle_pair_exact(AbsorptionModel(1.0), det, policy)
+        assert out.success_probability == pytest.approx(success, abs=1e-12), policy
+        for branch in (out.up, out.down):
+            assert branch.probability == pytest.approx(heralded / 2.0, abs=1e-12), policy
+            if heralded == 0.0:
+                assert branch.fidelity is None
+            else:
+                assert branch.fidelity == pytest.approx(right / heralded, abs=1e-12), policy
 
 
 @pytest.mark.parametrize("policy", list(HeraldPolicy))
@@ -235,7 +265,7 @@ def test_ghz_corrections_are_necessary():
     target = canonical_ghz()
     for branch in out.accepted:
         raw = fidelity(branch.conditional_state, target)
-        if branch.corrections:
+        if GHZ_CORRECTIONS[branch.pattern]:
             assert raw < 0.999, branch.pattern
     with pytest.raises(ValueError):
         apply_corrections(target, (("normalize", 0),))
@@ -271,6 +301,7 @@ def test_ghz_outcome_enumeration_is_complete():
             assert_valid(branch.conditional_state, atol=1e-9)
     # bunching: an accepted pair of photons never splits three or four ways
     for branch in out.rejected:
+        assert branch.fidelity is None, branch.pattern
         assert sum(branch.pattern) != 3
         assert sum(branch.pattern) != 4
     assert (True, True, False, False) in {b.pattern for b in out.accepted}
@@ -352,7 +383,7 @@ def test_ghz_conditional_states_match_sequential_detection_chain():
             for ket, bra in set(want.elements) | set(got.elements):
                 assert element(got, ket, bra) == pytest.approx(element(want, ket, bra), abs=1e-12)
             if branch.accepted:
-                c = _dense_correction(branch.corrections)
+                c = _dense_correction(GHZ_CORRECTIONS[branch.pattern])
                 corrected = c @ _dense_registers(want) @ c.conj().T
                 assert branch.fidelity == pytest.approx((ghz @ corrected @ ghz).real, abs=1e-12)
 
@@ -369,7 +400,8 @@ def test_ghz_group_cache_changes_no_result():
     groups = protocol._register_groups
     groups.cache_clear()
     cached = [ghz4_exact(AbsorptionModel(p), DetectorModel(efficiency=eta)) for eta in etas]
-    assert (groups.cache_info().misses, groups.cache_info().hits) == (1, 2)
+    # one grouping at p and one in the ideal limit, each built once
+    assert (groups.cache_info().misses, groups.cache_info().hits) == (2, 4)
     for eta, got in zip(etas, cached):
         groups.cache_clear()
         fresh = ghz4_exact(AbsorptionModel(p), DetectorModel(efficiency=eta))
@@ -415,6 +447,43 @@ def test_register_groups_refuses_a_storage_collision():
         protocol._register_groups(_colliding_circuit, (1,), AbsorptionModel())
     with pytest.raises(ValueError, match="collides"):
         transfer_to_storage(_colliding_circuit(AbsorptionModel()), 0)
+
+
+def test_ideal_targets_match_the_hand_written_corrections():
+    # oracle: each derived target is C^dagger |GHZ> for its listed correction
+    # C, up to a global phase, and the pair's are the hand-written herald states
+    targets = protocol._ideal_targets(ghz_pre_detection_state, protocol.GHZ_DETECTED_MODES)
+    assert set(targets) == ACCEPTED_GHZ_PATTERNS
+    for pattern, target in targets.items():
+        assert target.norm() == pytest.approx(1.0, abs=1e-12)
+        overlap = target.inner(corrected_target(GHZ_CORRECTIONS[pattern]))
+        assert abs(overlap) == pytest.approx(1.0, abs=1e-12), pattern
+    pair = protocol._ideal_targets(pair_pre_detection_state, (2, 3))
+    assert set(pair) == {(True, False), (False, True)}
+    for clicks, sign in (((True, False), -1), ((False, True), +1)):
+        assert pair[clicks].norm() == pytest.approx(1.0, abs=1e-12)
+        assert abs(pair[clicks].inner(psi_pair(sign))) == pytest.approx(1.0, abs=1e-12)
+
+
+def _synthetic_circuit(heralded):
+    """A circuit of registers (A, B) and two ports whose pre-detection state is
+    ``heralded`` plus one GHZ branch on the (False, True) pattern."""
+    subs = (EnsembleQudit("A"), EnsembleQudit("B"), OpticalMode(2, "port1"),
+            OpticalMode(2, "port2"))
+    amps = {("s", "g", 0, 1): RT2, ("g", "s", 0, 1): -1j * RT2, **heralded}
+    return lambda absorption: HybridState(subs, amps)
+
+
+@pytest.mark.parametrize("heralded", [
+    {("s", "g", 1, 0): 0.6, ("g", "s", 1, 0): 0.8},
+    {("g", "g", 1, 0): RT2, ("g", "s", 1, 0): RT2},
+    {("s", "g", 1, 0): 0.5, ("g", "s", 1, 0): 0.5, ("s", "s", 1, 0): 0.5},
+    {("s", "g", 1, 0): 0.5, ("g", "s", 1, 0): 0.5, ("s", "g", 2, 0): 0.5, ("g", "s", 2, 0): 0.5},
+], ids=["unequal-weights", "not-complementary", "three-terms", "two-groups-one-pattern"])
+def test_ideal_targets_reject_what_is_not_a_ghz_branch(heralded):
+    targets = protocol._ideal_targets(_synthetic_circuit(heralded), (2, 3))
+    assert set(targets) == {(False, True)}
+    assert abs(targets[(False, True)].inner(psi_pair(-1))) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ghz_pre_detection_state_is_normalized():
