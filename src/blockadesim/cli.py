@@ -48,8 +48,9 @@ EXIT_CONFIG = 2
 EXIT_VALIDATION = 3
 EXIT_CAP = 4
 
-# Most sampled trials one entangle point may take (~50 s of sampling).
-ENTANGLE_MAX_TRIALS = 10**9
+# Most sampled trials one entangle point may take: the largest count numpy's
+# multinomial draw takes (int64).  The draw costs the same at any count.
+ENTANGLE_MAX_TRIALS = 2**63 - 1
 # Most trials one grow point may take: each keeps a row of counters until the
 # statistics are taken.
 GROW_MAX_TRIALS = 10**6

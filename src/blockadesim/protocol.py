@@ -293,12 +293,6 @@ def entangle_pair_exact(absorption: AbsorptionModel = AbsorptionModel(),
     )
 
 
-# Uniform draws per chunk in entangle_pair_sampled: bounds its memory for
-# any trial count.  Chunking leaves the PCG64 stream, hence every count,
-# unchanged.
-SAMPLE_CHUNK = 2**16
-
-
 @dataclass(frozen=True)
 class EntangleSampleStats:
     """Monte Carlo herald statistics for the pair protocol."""
@@ -323,27 +317,15 @@ class EntangleSampleStats:
         return self.n_heralds / self.trials
 
 
-def _bin_counts(edges, draws) -> list:
-    """How many ``draws`` fall in each bin of the non-decreasing ``edges``.
-
-    Bin k holds edges[k - 1] <= draw < edges[k] (the outer bins are open), so
-    a draw equal to an edge falls in the bin above it, as
-    ``np.searchsorted(edges, draws, side="right")`` bins it.
-    """
-    import numpy as np
-
-    below = [0, *(int(np.count_nonzero(draws < edge)) for edge in edges), len(draws)]
-    return [high - low for low, high in zip(below, below[1:])]
-
-
 def entangle_pair_sampled(absorption: AbsorptionModel, detector: DetectorModel,
                           seed: int, trials: int,
                           policy: HeraldPolicy = HeraldPolicy.PER_DETECTOR) -> EntangleSampleStats:
     """Sample the joint click record of the pair protocol ``trials`` times.
 
     The joint distribution is assembled from sequential single-detector
-    conditioning (a code path independent of ``entangle_pair_exact``), then
-    sampled with one uniform draw per trial, drawn ``SAMPLE_CHUNK`` at a time.
+    conditioning (a code path independent of ``entangle_pair_exact``).  The
+    four click counts of ``trials`` independent records are one multinomial
+    draw from it, so the cost does not grow with ``trials``.
     """
     import numpy as np  # imported here so that the exact commands never load numpy
 
@@ -362,12 +344,8 @@ def entangle_pair_sampled(absorption: AbsorptionModel, detector: DetectorModel,
     total = probs.sum()
     if not math.isclose(total, 1.0, abs_tol=1e-9):
         raise ValueError(f"joint click distribution sums to {total}, expected 1")
-    rng = np.random.default_rng(seed)
-    edges = np.cumsum(probs[:-1])  # draws past the last edge are (False, False)
-    counts = np.zeros(4, dtype=np.int64)
-    for start in range(0, trials, SAMPLE_CHUNK):
-        draws = rng.random(min(SAMPLE_CHUNK, trials - start))
-        counts += _bin_counts(edges, draws)
+    # normalised, since numpy refuses pvals whose head sums past 1 by ~1e-12
+    counts = np.random.default_rng(seed).multinomial(trials, probs / total)
 
     if policy is HeraldPolicy.PER_DETECTOR:
         expected = 1.0 - joint[(False, False)]

@@ -375,11 +375,20 @@ def assert_trials_refused(command, trials, out, capsys):
     parse_args(["sweep", command, "--set", f"trials={trials}", "--range", "trials=1:2:1"])
 
 
-@pytest.mark.parametrize("trials", [1_000_000_001, 1_000_000_000_000])
+@pytest.mark.parametrize("trials", [2**63, 10**30])
 def test_entangle_trials_above_the_bound_exit_4_before_any_work(tmp_path, capsys, trials):
     assert_trials_refused("entangle", trials, tmp_path / "refused.json", capsys)
     # the bound itself is allowed
-    assert parse_args(["entangle", "--trials", "1000000000"]).params["trials"] == 10**9
+    assert parse_args(["entangle", "--trials", str(2**63 - 1)]).params["trials"] == 2**63 - 1
+
+
+def test_entangle_sampling_costs_the_same_at_any_trial_count(capsys):
+    begin = time.perf_counter()
+    assert main(["entangle", "--trials", "1000000000000", "--format", "json"]) == EXIT_OK
+    assert time.perf_counter() - begin < 1.0
+    sampled = json.loads(capsys.readouterr().out)["results"]["sampled"]
+    assert sampled["trials"] == 10**12
+    assert sum(sampled[k] for k in ("n_both", "n_up_only", "n_down_only", "n_none")) == 10**12
 
 
 @pytest.mark.parametrize("trials", [1_000_001, 1_000_000_000])

@@ -215,26 +215,45 @@ def test_entangle_sampled_matches_exact():
         entangle_pair_sampled(absorption, det, seed=1, trials=0)
 
 
-def test_entangle_sampled_chunks_keep_the_single_draw_counts(monkeypatch):
-    absorption, det = AbsorptionModel(0.9), DetectorModel(efficiency=0.4)
-    trials = 3 * protocol.SAMPLE_CHUNK + 17
-    chunked = entangle_pair_sampled(absorption, det, seed=12, trials=trials)
-    monkeypatch.setattr(protocol, "SAMPLE_CHUNK", trials)
-    single = entangle_pair_sampled(absorption, det, seed=12, trials=trials)
-    assert chunked == single
+def sequential_pair_joint(absorption, det):
+    """P(click up, click down) by detecting port 1, then port 2, on the density operator."""
+    rho = DensityOperator.from_pure(pair_pre_detection_state(absorption))
+    joint = {(c1, c2): 0.0 for c1 in (False, True) for c2 in (False, True)}
+    for c1, p1, post1 in detect_outcomes(rho, protocol._PAIR_MODE_OF[UP], det):
+        if post1 is not None:
+            for c2, p2, _ in detect_outcomes(post1, protocol._PAIR_MODE_OF[DOWN], det):
+                joint[(c1, c2)] = p1 * p2
+    return joint
 
 
-def test_bin_counts_bin_edge_draws_as_searchsorted_right():
-    import numpy as np
-    rng = np.random.default_rng(31)
-    # two equal edges leave a zero-probability bin between them
-    for edges in (np.array([0.25, 0.5, 0.5]), np.array([0.0, 0.0, 0.7]),
-                  np.cumsum([0.1, 0.2, 0.3]), np.array([0.3, 0.6, 1.0])):
-        draws = np.concatenate([rng.random(5_000), edges, np.nextafter(edges, 0.0),
-                                np.nextafter(edges, 1.0), [0.0]])
-        want = np.bincount(np.searchsorted(edges, draws, side="right"), minlength=4)
-        assert protocol._bin_counts(edges, draws) == want.tolist(), edges
-        assert protocol._bin_counts(edges.tolist(), draws[:0]) == [0, 0, 0, 0]
+def click_counts(stats):
+    return {(True, True): stats.n_both, (True, False): stats.n_up_only,
+            (False, True): stats.n_down_only, (False, False): stats.n_none}
+
+
+@pytest.mark.parametrize("dark_hz", [0.0, 3e4])
+@pytest.mark.parametrize("p_abs", [1.0, 0.9])
+@pytest.mark.parametrize("eta", [1.0, 0.7, 0.3])
+@pytest.mark.parametrize("policy", list(HeraldPolicy))
+def test_entangle_sampled_counts_follow_the_multinomial_law(policy, eta, p_abs, dark_hz):
+    absorption = AbsorptionModel(p_abs)
+    det = DetectorModel(efficiency=eta, dark_count_rate_hz=dark_hz)
+    trials = 1_000_000
+    stats = entangle_pair_sampled(absorption, det, seed=21, trials=trials, policy=policy)
+    joint = sequential_pair_joint(absorption, det)
+    counts = click_counts(stats)
+    assert sum(counts.values()) == trials
+    for clicks, n in counts.items():
+        p = joint[clicks]
+        if p == 0.0:
+            # without dark counts: two clicks from one photon, or none at eta = 1
+            assert n == 0, clicks
+        else:
+            sigma = math.sqrt(trials * p * (1.0 - p))
+            assert abs(n - trials * p) <= 5.0 * sigma, (clicks, n, trials * p)
+    assert entangle_pair_sampled(absorption, det, seed=21, trials=trials, policy=policy) == stats
+    other = entangle_pair_sampled(absorption, det, seed=22, trials=trials, policy=policy)
+    assert click_counts(other) != counts
 
 
 def test_entangle_sampled_exclusive_counts():
