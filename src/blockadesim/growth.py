@@ -55,7 +55,7 @@ from typing import Optional
 
 import numpy as np
 
-from .protocol import ghz_success_probability, link_success_probability
+from .rates import ghz_success_probability, link_success_probability
 
 
 # Largest target the dense Markov solve accepts.

@@ -89,6 +89,9 @@ from .optics import (
     detect_outcomes,
     phase_shift,
 )
+# re-exported: callers, perfbench/checks.py among them, import the two
+# closed-form rates from protocol too
+from .rates import ghz_success_probability, link_success_probability
 from .state_algebra import (
     DensityOperator,
     EnsembleQudit,
@@ -327,10 +330,11 @@ def entangle_pair_sampled(absorption: AbsorptionModel, detector: DetectorModel,
     four click counts of ``trials`` independent records are one multinomial
     draw from it, so the cost does not grow with ``trials``.
     """
+    # the multinomial draw takes an int64 count
+    if not 1 <= trials <= 2**63 - 1:
+        raise ValueError(f"trials must be in [1, 2^63 - 1], got {trials}")
     import numpy as np  # imported here so that the exact commands never load numpy
 
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     rho = DensityOperator.from_pure(pair_pre_detection_state(absorption))
     joint = {(c1, c2): 0.0 for c1 in (False, True) for c2 in (False, True)}
     for c1, p1, post1 in detect_outcomes(rho, _PAIR_MODE_OF[UP], detector):
@@ -450,27 +454,3 @@ def ghz4_exact(absorption: AbsorptionModel = AbsorptionModel(),
         accepted=tuple(accepted),
         rejected=tuple(rejected),
     )
-
-
-def ghz_success_probability(n_qubits: int, eta: float) -> float:
-    """Chain acceptance probability eta^(Q/2) * (Q - 2) / 2^(Q - 2).
-
-    Q/2 photon pairs must all be detected and the accepted click patterns
-    make up (Q - 2) / 2^(Q - 2) of the interferometer output.
-    """
-    if n_qubits < 4 or n_qubits % 2:
-        raise ValueError(f"chain size must be an even integer >= 4, got {n_qubits}")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must be in [0, 1], got {eta}")
-    # scaling by 2^-(Q-2) with ldexp is exact where the old division by the
-    # integer 2^(Q-2) was finite, and cannot overflow for large Q
-    return math.ldexp(eta ** (n_qubits // 2) * (n_qubits - 2), -(n_qubits - 2))
-
-
-# ---------------------------------------------------------------------------
-# cluster linking
-
-def link_success_probability(eta_prime: float) -> float:
-    if not 0.0 <= eta_prime <= 1.0:
-        raise ValueError(f"eta_prime must be in [0, 1], got {eta_prime}")
-    return eta_prime / 8.0

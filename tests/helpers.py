@@ -9,7 +9,7 @@ import numpy as np
 from blockadesim.ensemble import gate_phase, gate_x
 from blockadesim.growth import ClusterInventory, GrowthStatistics, growth_rates
 from blockadesim.optics import _click_pair
-from blockadesim.protocol import link_success_probability
+from blockadesim.rates import link_success_probability
 from blockadesim.state_algebra import (
     ATOL_PSD,
     ATOL_STATE,

@@ -26,7 +26,7 @@ from blockadesim.cli import (
     read_config_file,
     run,
 )
-from blockadesim.protocol import ghz_success_probability
+from blockadesim.rates import ghz_success_probability
 
 
 def run_text(argv):
@@ -686,3 +686,34 @@ print(codes, exact_numpy, "numpy" in sys.modules)
     done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
                           env=_child_env(), check=True)
     assert done.stdout.split("\n")[0] == "[0, 0, 0, 0, 0, 0, 0] False True"
+
+
+ENGINE = {"state_algebra", "optics", "ensemble", "protocol"}
+
+
+@pytest.mark.parametrize("argv, layers, numpy", [
+    (["budget"], set(), False),
+    (["ghz", "--qubits", "6"], set(), False),
+    (["grow", "--trials", "100"], {"growth"}, True),
+    (["ghz", "--qubits", "4"], ENGINE, False),
+    (["entangle", "--eta", "0.3", "--p-abs", "0.989"], ENGINE, False),
+], ids=["budget", "ghz6", "grow", "ghz4", "entangle"])
+def test_each_command_loads_only_the_layers_it_runs(argv, layers, numpy):
+    child = """
+import contextlib, io, sys
+import blockadesim
+print(sorted(m for m in sys.modules if m.startswith(("blockadesim.", "numpy"))))
+from blockadesim import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, "numpy" in sys.modules)
+print(" ".join(sorted(m[len("blockadesim."):] for m in sys.modules
+                      if m.startswith("blockadesim."))))
+"""
+    done = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True,
+                          text=True, env=_child_env(), check=True)
+    bare, outcome, loaded = done.stdout.splitlines()
+    # importing the package loads none of its modules
+    assert bare == "[]"
+    assert outcome == f"0 {numpy}"
+    assert set(loaded.split()) == {"budget", "cli", "rates"} | layers

@@ -18,7 +18,7 @@ from blockadesim.growth import (
     run_trial,
     simulate_growth,
 )
-from blockadesim.protocol import ghz_success_probability
+from blockadesim.rates import ghz_success_probability
 from helpers import reference_growth, reference_trial
 
 

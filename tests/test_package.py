@@ -14,9 +14,10 @@ PUBLIC_API = [
 def test_every_exported_name_resolves():
     # the exact list: a name that only the tests use must not be exported
     assert blockadesim.__all__ == PUBLIC_API
-    # growth's names are served by the module-level __getattr__ on first use
+    # every name is served by the module-level __getattr__ on first use
     for name in blockadesim.__all__:
         assert getattr(blockadesim, name) is not None, name
     namespace = {}
     exec("from blockadesim import *", namespace)
     assert set(blockadesim.__all__) <= set(namespace)
+    assert set(blockadesim.__all__) <= set(dir(blockadesim))

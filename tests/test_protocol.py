@@ -17,10 +17,9 @@ from blockadesim.protocol import (
     entangle_pair_sampled,
     ghz4_exact,
     ghz_pre_detection_state,
-    ghz_success_probability,
-    link_success_probability,
     pair_pre_detection_state,
 )
+from blockadesim.rates import ghz_success_probability, link_success_probability
 from blockadesim.state_algebra import (
     DensityOperator,
     EnsembleQudit,
@@ -213,6 +212,20 @@ def test_entangle_sampled_matches_exact():
     assert different != stats
     with pytest.raises(ValueError):
         entangle_pair_sampled(absorption, det, seed=1, trials=0)
+
+
+def test_entangle_sampled_refuses_trials_past_int64_before_any_work(monkeypatch):
+    absorption, det = AbsorptionModel(0.9), DetectorModel(efficiency=0.4)
+    stats = entangle_pair_sampled(absorption, det, seed=1, trials=2**63 - 1)
+    assert stats.n_both + stats.n_up_only + stats.n_down_only + stats.n_none == 2**63 - 1
+
+    def no_work(*args):
+        raise AssertionError("work began before trials was checked")
+
+    monkeypatch.setattr(protocol, "pair_pre_detection_state", no_work)
+    for trials in (2**63, 10**30, 0):
+        with pytest.raises(ValueError, match="trials"):
+            entangle_pair_sampled(absorption, det, seed=1, trials=trials)
 
 
 def sequential_pair_joint(absorption, det):
