@@ -5,6 +5,12 @@ sampling), ``ghz`` (four-qubit chain and the general acceptance formula),
 ``budget`` (analytic error report), ``grow`` (cluster growth Monte Carlo with
 Markov cross-check), and ``sweep`` (grid scan of any of the former).
 
+Command lines: a command, then ``--flag value`` or ``--flag=value`` pairs
+(a unique prefix names a flag; the last of a repeated flag counts, except
+``--set`` and ``--range``).  Each value, whatever it looks like, goes
+through the parser config files use: ``--seed`` and ``--max-grid`` are
+non-negative integers.  ``-h`` or ``--help`` prints help.
+
 Conventions: parameter values resolve as defaults < config file < command
 line; unknown keys anywhere are errors.  Identical config and seed give
 byte-identical artifacts.  Output goes to stdout unless ``--output`` names a
@@ -15,6 +21,7 @@ Exit codes: 0 success, 2 configuration/usage error (an output path that is
 a directory or cannot be written among them), 3 parameter validation
 error (a non-finite parameter or artifact value among them), 4 work bound
 exceeded before any work runs (a sweep grid above ``--max-grid`` points,
+shown in %.3g form past 10^15,
 ``entangle`` sampling above 2^63 - 1 trials or ``grow`` above 10^6 trials,
 fixed or swept).
 
@@ -24,9 +31,7 @@ Each handler imports the layers it runs: ``budget`` and the formula-only
 
 from __future__ import annotations
 
-import argparse
 import csv
-import functools
 import io
 import itertools
 import json
@@ -63,6 +68,10 @@ class ConfigError(Exception):
 
 class WorkBoundError(Exception):
     """Sweep grid or Monte Carlo trials above their bound."""
+
+
+class HelpRequested(Exception):
+    """``-h`` or ``--help`` on the command line; the message is the help text."""
 
 
 @dataclass(frozen=True)
@@ -112,11 +121,29 @@ COMMAND_PARAMS = {
 
 # Options of every command; a config file may set them too.
 GLOBAL_PARAMS = (
-    ParamSpec("seed", int, 0, "master RNG seed"),
+    ParamSpec("seed", _non_negative_int, 0, "master RNG seed"),
     ParamSpec("output", Path, None, "artifact path (stdout when omitted)"),
-    ParamSpec("format", str, "json", "artifact format (default json)",
-              ("json", "csv", "text")),
+    ParamSpec("format", str, "json", "artifact format", ("json", "csv", "text")),
 )
+
+# Flags no config file sets.  A flag whose default is a tuple collects every
+# value it is given; any other flag keeps its last one.
+_CONFIG = ParamSpec("config", Path, None, "key = value file with parameter defaults")
+_MAX_GRID = ParamSpec("max_grid", _non_negative_int, 10_000, "grid size bound")
+_HELP = ParamSpec("help", None, None, "print this help (also -h)")
+_EXTRA_FLAGS = {
+    "budget": (ParamSpec("set", str, (), "FIELD=VALUE override of one preset field"),),
+    "sweep": (ParamSpec("set", str, (), "KEY=VALUE fixed parameter of every grid point"),
+              ParamSpec("range", str, (), "KEY=START:STOP:STEP swept parameter (at most 2)"),
+              _MAX_GRID),
+}
+# "--flag" -> spec, per command; before the command only help is known
+FLAGS = {
+    command: {"--" + spec.name.replace("_", "-"): spec
+              for spec in (*COMMAND_PARAMS.get(command, ()), *_EXTRA_FLAGS.get(command, ()),
+                           _CONFIG, *GLOBAL_PARAMS, _HELP)}
+    for command in (*COMMAND_PARAMS, "sweep")
+}
 
 # budget accepts every BudgetParams field as an override key
 _BUDGET_FIELDS = tuple(f.name for f in fields(budget_mod.BudgetParams))
@@ -180,75 +207,91 @@ class RunConfig:
     ranges: tuple = ()
 
 
-def _flag_type(spec: ParamSpec) -> Callable:
-    """argparse type of ``spec``'s flag: ``_parse_value``, with its reason on a bad value."""
-    def parse(text: str):
-        try:
-            return _parse_value(spec, text)
-        except ConfigError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-    return parse
+def _read_argv(argv) -> tuple:
+    """(command, swept command or None, {name: parsed value}) of a command line.
+
+    Left to right: a flag's value (the next token, or the text after ``=``)
+    goes through ``_parse_value`` when read, and help is raised where it
+    stands; unknown flags and stray positionals are refused at the end.
+    """
+    command = swept = None
+    table, flags, stray, options = {"--help": _HELP}, {}, [], True
+    tokens = iter(argv)
+    for token in tokens:
+        if options and token == "--":  # every later token is a positional
+            options = False
+        elif options and token.startswith("-") and token != "-":
+            name, eq, raw = token.partition("=")
+            spec = table.get(name) or (_HELP if name == "-h" else None)
+            if spec is None:
+                matches = [flag for flag in table if flag.startswith(name)]
+                if len(matches) > 1:
+                    raise ConfigError(f"ambiguous option: {name} could match "
+                                      + ", ".join(matches))
+                spec = table[matches[0]] if matches else None
+            if spec is None:
+                stray.append(token)
+            elif spec is _HELP:
+                if eq:
+                    raise ConfigError(f"{name} takes no value")
+                raise HelpRequested(_help(command))
+            else:
+                raw = raw if eq else next(tokens, None)
+                if raw is None:
+                    raise ConfigError(f"--{spec.name.replace('_', '-')} needs a value")
+                value = _parse_value(spec, raw)
+                tuple_default = isinstance(spec.default, tuple)
+                flags[spec.name] = flags.get(spec.name, ()) + (value,) if tuple_default else value
+        elif command is None:
+            if token not in FLAGS:
+                raise ConfigError(f"unknown command {token!r}; choose from {', '.join(FLAGS)}")
+            command, table = token, FLAGS[token]
+        elif command == "sweep" and swept is None:
+            if token not in COMMAND_PARAMS:
+                raise ConfigError(f"cannot sweep {token!r}; choose from "
+                                  + ", ".join(COMMAND_PARAMS))
+            swept = token
+        else:
+            stray.append(token)
+    if command is None or (command == "sweep" and swept is None):
+        choices = ", ".join(FLAGS if command is None else COMMAND_PARAMS)
+        raise ConfigError(f"{command or 'blockadesim'} needs a command: one of {choices}")
+    if stray:
+        raise ConfigError(f"unrecognized arguments: {', '.join(map(repr, stray))}")
+    return command, swept, flags
 
 
-def _add_flags(parser: argparse.ArgumentParser, specs):
-    """One flag per spec, None when absent so that _resolve sees it unset."""
-    for spec in specs:
-        kwargs = {"choices": spec.choices} if spec.choices else {"type": _flag_type(spec)}
-        parser.add_argument("--" + spec.name.replace("_", "-"), dest=spec.name,
-                            default=None, help=spec.help, **kwargs)
+def _help(command: Optional[str]) -> str:
+    if command is None:
+        return (f"usage: blockadesim {{{','.join(FLAGS)}}} [--flag VALUE | --flag=VALUE ...]\n"
+                "heralded entanglement and cluster growth toolkit; COMMAND --help lists flags\n")
+    shown = f"sweep {{{','.join(COMMAND_PARAMS)}}}" if command == "sweep" else command
+    lines = [f"usage: blockadesim {shown} [--flag VALUE | --flag=VALUE ...]"]
+    for flag, spec in FLAGS[command].items():
+        text = spec.help + (f" {{{','.join(spec.choices)}}}" if spec.choices else "")
+        default = "" if spec.default in (None, ()) else f" (default {spec.default})"
+        lines.append(f"  {flag:<13} {text}{default}")
+    return "\n".join(lines) + "\n"
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
-        prog="blockadesim",
-        description="heralded entanglement and cluster growth toolkit",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", type=Path, default=None,
-                       help="key = value file with parameter defaults")
-        _add_flags(p, GLOBAL_PARAMS)
-
-    for command, specs in COMMAND_PARAMS.items():
-        p = sub.add_parser(command)
-        _add_flags(p, specs)
-        if command == "budget":
-            p.add_argument("--set", dest="overrides", action="append", default=[],
-                           metavar="FIELD=VALUE", help="override one parameter field")
-        add_common(p)
-
-    p = sub.add_parser("sweep")
-    p.add_argument("swept", choices=tuple(COMMAND_PARAMS), help="command to sweep")
-    p.add_argument("--set", dest="overrides", action="append", default=[],
-                   metavar="KEY=VALUE", help="fixed parameter for every grid point")
-    p.add_argument("--range", dest="ranges", action="append", default=[],
-                   metavar="KEY=START:STOP:STEP", help="swept parameter (max 2)")
-    p.add_argument("--max-grid", type=int, default=10_000, help="grid size bound")
-    add_common(p)
-    return parser
-
-
-def _resolve(specs, args, config_values: dict) -> dict:
+def _resolve(specs, flags: dict, config_values: dict) -> dict:
     """{name: value} of ``specs``: the flag, else the config file, else the default."""
     out = {}
     for spec in specs:
-        value = getattr(args, spec.name, None)
+        value = flags.get(spec.name)
         if value is None and spec.name in config_values:
             value = _parse_value(spec, config_values[spec.name])
         out[spec.name] = spec.default if value is None else value
     return out
 
 
-def _resolve_params(command: str, args, config_values: dict) -> dict:
-    params = _resolve(COMMAND_PARAMS[command], args, config_values)
+def _resolve_params(command: str, flags: dict, config_values: dict) -> dict:
+    params = _resolve(COMMAND_PARAMS[command], flags, config_values)
     known = set(params) | {spec.name for spec in GLOBAL_PARAMS}
     for key, raw in config_values.items():
         if key not in known:
             params[key] = _parse_value(_spec(command, key), raw)
-    for text in getattr(args, "overrides", []) or []:
+    for text in flags.get("set", ()):
         key, value = _parse_override(command, text)
         params[key] = value
     return params
@@ -317,18 +360,22 @@ def _bound_trials(command: str, params: dict, ranges: tuple = ()):
 
 
 def parse_args(argv=None) -> RunConfig:
-    args = build_parser().parse_args(argv)
-    config_values = read_config_file(args.config) if args.config else {}
-    common = _resolve(GLOBAL_PARAMS, args, config_values)
-    inner = args.swept if args.command == "sweep" else args.command
-    params = _resolve_params(inner, args, config_values)
+    return _run_config(*_read_argv(sys.argv[1:] if argv is None else argv))
+
+
+def _run_config(command: str, swept_command: Optional[str], flags: dict) -> RunConfig:
+    """The RunConfig of a read command line: flags, then the config file, then defaults."""
+    config_values = read_config_file(flags["config"]) if "config" in flags else {}
+    common = _resolve(GLOBAL_PARAMS, flags, config_values)
+    inner = swept_command or command
+    params = _resolve_params(inner, flags, config_values)
     _require_finite(params)
-    config = RunConfig(command=args.command, params=params, seed=common["seed"],
+    config = RunConfig(command=command, params=params, seed=common["seed"],
                        output=_output_path(common["output"]), fmt=common["format"])
-    if args.command != "sweep":
+    if swept_command is None:
         _bound_trials(inner, params)
         return config
-    swept = [_parse_range(inner, r) for r in args.ranges]
+    swept = [_parse_range(inner, r) for r in flags.get("range", ())]
     if not swept:
         raise ConfigError("sweep needs at least one --range")
     if len(swept) > 2:
@@ -337,8 +384,10 @@ def parse_args(argv=None) -> RunConfig:
     if len(set(names)) != len(names):
         raise ConfigError("swept parameters must be distinct")
     size = math.prod(r[3] for r in swept)
-    if size > args.max_grid:
-        raise WorkBoundError(f"sweep grid has {size} points, bound is {args.max_grid}")
+    max_grid = flags.get("max_grid", _MAX_GRID.default)
+    if size > max_grid:
+        shown = size if size <= 10**15 else "%.3g" % math.prod(float(r[3]) for r in swept)
+        raise WorkBoundError(f"sweep grid has {shown} points, bound is {max_grid}")
     ranges = tuple((r[0].name, _grid_values(*r)) for r in swept)
     _bound_trials(inner, params, ranges)
     return replace(config, sweep_command=inner, ranges=ranges)
@@ -636,9 +685,9 @@ def main(argv=None) -> int:
     try:
         config = parse_args(argv)
         text = run(config)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors and 0 on --help
-        return int(exc.code or 0)
+    except HelpRequested as exc:
+        sys.stdout.write(str(exc))
+        return EXIT_OK
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,11 +1,16 @@
 """Shared test utilities: state oracles, hand-written protocol targets,
-random states, statistics and the reference growth trial."""
+random states, statistics, the reference growth trial and the argparse
+reading of a command line."""
 
+import argparse
+import functools
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 
+from blockadesim import cli
 from blockadesim.ensemble import gate_phase, gate_x
 from blockadesim.growth import ClusterInventory, GrowthStatistics, growth_rates
 from blockadesim.optics import _click_pair
@@ -320,3 +325,73 @@ def reference_growth(policy, eta, eta_prime, seed, trials):
         link_success_rate=link_successes / link_attempts if link_attempts else None,
         total_link_attempts=link_attempts,
     )
+
+
+# ---------------------------------------------------------------------------
+# argparse reading of a command line: the oracle for cli's table-driven reader
+
+
+def _flag_type(spec):
+    """argparse type of ``spec``'s flag: ``cli._parse_value``, with its reason on a bad value."""
+    def parse(text):
+        try:
+            return cli._parse_value(spec, text)
+        except cli.ConfigError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
+
+
+def _add_flags(parser, specs):
+    """One flag per spec, None when absent so that the resolution sees it unset."""
+    for spec in specs:
+        kwargs = {"choices": spec.choices} if spec.choices else {"type": _flag_type(spec)}
+        parser.add_argument("--" + spec.name.replace("_", "-"), dest=spec.name,
+                            default=None, help=spec.help, **kwargs)
+
+
+@functools.cache
+def _argparse_parser():
+    parser = argparse.ArgumentParser(
+        prog="blockadesim",
+        description="heralded entanglement and cluster growth toolkit",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_common(p):
+        p.add_argument("--config", type=Path, default=None,
+                       help="key = value file with parameter defaults")
+        _add_flags(p, cli.GLOBAL_PARAMS)
+
+    for command, specs in cli.COMMAND_PARAMS.items():
+        p = sub.add_parser(command)
+        _add_flags(p, specs)
+        if command == "budget":
+            p.add_argument("--set", dest="overrides", action="append", default=[],
+                           metavar="FIELD=VALUE", help="override one parameter field")
+        add_common(p)
+
+    p = sub.add_parser("sweep")
+    p.add_argument("swept", choices=tuple(cli.COMMAND_PARAMS), help="command to sweep")
+    p.add_argument("--set", dest="overrides", action="append", default=[],
+                   metavar="KEY=VALUE", help="fixed parameter for every grid point")
+    p.add_argument("--range", dest="ranges", action="append", default=[],
+                   metavar="KEY=START:STOP:STEP", help="swept parameter (max 2)")
+    p.add_argument("--max-grid", type=int, default=10_000, help="grid size bound")
+    add_common(p)
+    return parser
+
+
+def argparse_parse(argv):
+    """``cli.parse_args`` with the command line read by argparse, as the package once did.
+
+    The flags argparse reads go to the same resolution (``cli._run_config``),
+    so the two differ only in how they read ``argv``.  argparse raises
+    SystemExit: 2 on a usage error, 0 after printing help.
+    """
+    flags = {k: v for k, v in vars(_argparse_parser().parse_args(argv)).items()
+             if v is not None}
+    command = flags.pop("command")
+    swept = flags.pop("swept", None)
+    flags["set"] = tuple(flags.pop("overrides", ()))
+    flags["range"] = tuple(flags.pop("ranges", ()))
+    return cli._run_config(command, swept, flags)

@@ -1,3 +1,6 @@
+import contextlib
+import importlib.util
+import io
 import json
 import math
 import os
@@ -20,13 +23,15 @@ from blockadesim.cli import (
     OUTPUT_DIR_ENV,
     SCHEMA_VERSION,
     ConfigError,
-    build_parser,
+    HelpRequested,
+    WorkBoundError,
     main,
     parse_args,
     read_config_file,
     run,
 )
 from blockadesim.rates import ghz_success_probability
+from helpers import argparse_parse
 
 
 def run_text(argv):
@@ -131,11 +136,46 @@ def test_exit_codes():
     assert (EXIT_OK, EXIT_CONFIG, EXIT_VALIDATION, EXIT_CAP) == (0, 2, 3, 4)
 
 
+def assert_one_error_line(capsys, *needles):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+    assert all(needle in err for needle in needles), err
+
+
 def test_argparse_errors_exit_2(capsys):
+    # the usage errors argparse refused still exit 2, each with one error line
     assert main(["entangle", "--no-such-flag"]) == 2
     assert main(["budget", "--preset", "paper-99z"]) == 2
     assert main([]) == 2
     capsys.readouterr()
+    for argv, needles in (
+            (["grow", "--et", "0.5"], ("ambiguous option: --et", "--eta, --eta-prime")),
+            (["budget", "--s=1"], ("--set, --seed",)),
+            (["entangle", "--eta"], ("--eta needs a value",)),
+            (["entangle", "--trials", "10", "--p-a"], ("--p-abs needs a value",)),
+            (["entangle", "--eta=x"], ("bad value for eta",)),
+            (["entangle", "0.3"], ("unrecognized arguments: '0.3'",)),
+            (["sweep", "ghz", "grow", "--range", "eta=0:1:0.5"], ("'grow'",)),
+            (["sweep", "--range", "eta=0:1:0.5"], ("sweep needs a command: one of entangle,",)),
+            (["sweep", "warp", "--range", "eta=0:1:0.5"], ("cannot sweep 'warp'",)),
+            (["warp"], ("unknown command 'warp'",)),
+            (["--seed=1"], ("blockadesim needs a command",)),
+            (["entangle", "--help=yes"], ("--help takes no value",))):
+        assert main(argv) == EXIT_CONFIG, argv
+        assert_one_error_line(capsys, *needles)
+    # a unique prefix names its flag, also in the = form, and an exact name wins
+    assert main(["ghz", "--qu", "6", "--e=0.5", "--f", "csv"]) == EXIT_OK
+    assert capsys.readouterr().out == run_text(["ghz", "--qubits", "6", "--eta", "0.5",
+                                                "--format", "csv"])
+    assert parse_args(["grow", "--eta", "0.5", "--eta-p", "0.25"]).params["eta"] == 0.5
+    # the last value of a repeated flag counts; --set and --range keep every one
+    config = parse_args(["sweep", "--set", "qubits=6", "--range", "eta=0.5:1:0.5", "ghz",
+                         "--format", "csv", "--set=p_abs=0.5", "--range=qubits=6:8:2",
+                         "--format=text"])
+    assert (config.fmt, config.sweep_command) == ("text", "ghz")
+    assert config.params["p_abs"] == 0.5 and len(config.ranges) == 2
+    # every token after -- is a positional
+    assert parse_args(["sweep", "--range", "eta=0.5:1:0.5", "--", "ghz"]).sweep_command == "ghz"
 
 
 @pytest.mark.parametrize("argv, spec", [
@@ -157,11 +197,193 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "entangle" in out and "sweep" in out
+    # help anywhere past the command lists the command's flags, help text and defaults
+    for argv in (["grow", "--help"], ["grow", "--eta", "0.5", "-h"], ["grow", "--he", "--x"],
+                 ["grow", "--no-such-flag", "--help", "--eta"]):
+        assert main(argv) == EXIT_OK, argv
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out.startswith("usage: blockadesim grow"), argv
+        for spec in cli.FLAGS["grow"].values():
+            line = next(l for l in captured.out.splitlines()
+                        if l.split()[:1] == ["--" + spec.name.replace("_", "-")])
+            assert spec.help in line
+            assert spec.default is None or f"(default {spec.default})" in line
+    assert main(["sweep", "-h"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "{entangle,ghz,budget,grow}" in out and "--max-grid" in out and "10000" in out
+    # a value-taking flag takes the token after it, so this is an eta value
+    assert main(["entangle", "--eta", "--help"]) == EXIT_CONFIG
+    assert_one_error_line(capsys, "bad value for eta")
 
 
 def test_validation_error_exits_3(capsys):
     assert main(["ghz", "--qubits", "5"]) == EXIT_VALIDATION
     assert "error:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the reader against the argparse oracle
+
+def _outcome(parse, argv):
+    """The RunConfig ``parse`` reads from ``argv``, or the exit code of its refusal."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return parse(argv)
+    except SystemExit as exc:  # argparse: 2 on a usage error, 0 after help
+        return exc.code
+    except HelpRequested:
+        return EXIT_OK
+    except ConfigError:
+        return EXIT_CONFIG
+    except WorkBoundError:
+        return EXIT_CAP
+    except ValueError:
+        return EXIT_VALIDATION
+
+
+def _benchmark_argvs():
+    """The first 500 cli_mix, 50 ghz_sweep and 20 grow_long command lines, seed 1."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name, count in (("cli_mix", 500), ("ghz_sweep", 50), ("grow_long", 20)):
+        stream = workloads.commands(name, 1)
+        yield from (next(stream)["argv"] for _ in range(count))
+
+
+def _prefixes(command: str) -> tuple:
+    """({flag: its shortest unique prefix or itself}, one prefix shared by two flags or None)."""
+    table = cli.FLAGS[command]
+    unique, shared = {}, None
+    for flag in table:
+        for end in range(3, len(flag) + 1):
+            hits = [f for f in table if f.startswith(flag[:end])]
+            if len(hits) > 1 and shared is None:
+                shared = flag[:end]
+            if (hits == [flag] or end == len(flag)) and flag not in unique:
+                unique[flag] = flag[:end]
+    return unique, shared
+
+
+def _variants(index: int, argv: list):
+    """Spellings of one command line, from its (flag, value) pairs, and two mistakes.
+
+    Every command line is spelled five ways; the mistakes take turns, so
+    each kind meets about a hundred command lines, and help is inserted at
+    position ``index`` modulo the line's length plus one.
+    """
+    head = argv[:2] if argv[0] == "sweep" else argv[:1]
+    pairs = list(zip(argv[len(head)::2], argv[len(head) + 1::2]))
+    unique, shared = _prefixes(argv[0])
+
+    def flat(items):
+        return [token for pair in items for token in pair]
+
+    yield argv
+    yield head + [f"{flag}={value}" for flag, value in pairs]
+    yield head + flat((unique[flag], value) for flag, value in pairs)
+    yield head + [f"{unique[flag]}={value}" for flag, value in pairs]
+    yield head + flat(pairs[::-1]) + flat(pairs)  # each flag twice, the last one counts
+    if argv[0] == "sweep":
+        yield argv[:1] + flat(pairs) + argv[1:2]  # the swept command after its flags
+    bad = index % len(pairs)
+    mistakes = [
+        argv + ["--no-such-flag", "1"],
+        argv + ["stray"],
+        head + flat(pairs[:bad]) + [pairs[bad][0]],  # a last flag without its value
+        argv + ["--format", "xml"],
+        head + flat(pairs[:bad] + [(pairs[bad][0], "x")] + pairs[bad + 1:]),
+        head + [shared or "--no-shared-prefix", "1"] + flat(pairs),
+    ]
+    yield mistakes[index % len(mistakes)]
+    at = index % (len(argv) + 1)
+    yield argv[:at] + ["-h" if index % 2 else "--help"] + argv[at:]
+
+
+def test_reader_agrees_with_the_argparse_oracle():
+    compared, differ = 0, []
+    for index, argv in enumerate(_benchmark_argvs()):
+        for variant in _variants(index, argv):
+            ours, oracle = _outcome(parse_args, variant), _outcome(argparse_parse, variant)
+            compared += 1
+            if ours != oracle:
+                differ.append((variant, ours, oracle))
+    assert compared > 4000
+    assert differ == []
+
+
+def test_reader_departs_from_argparse_only_where_intended(tmp_path, capsys):
+    # --max-grid is a count: argparse took -1 and the bound refused every grid
+    argv = ["sweep", "ghz", "--range", "eta=0.1:0.2:0.1", "--max-grid", "-1"]
+    assert (_outcome(parse_args, argv), _outcome(argparse_parse, argv)) == (EXIT_CONFIG, EXIT_CAP)
+    # a value-taking flag takes the next token, which argparse refused when it
+    # looked like an option: the value is now validated like any other
+    argv = ["entangle", "--gamma-dc", "-1e300"]
+    assert _outcome(argparse_parse, argv) == EXIT_CONFIG
+    assert parse_args(argv).params["gamma_dc"] == -1e300
+    assert main(argv) == EXIT_VALIDATION
+    assert_one_error_line(capsys, "dark count rate must be >= 0")
+    out = tmp_path / "-artifact"
+    argv = ["budget", "--output", str(out)[len(str(tmp_path)) + 1:]]
+    assert _outcome(argparse_parse, argv) == EXIT_CONFIG
+    assert parse_args(argv).output == Path("-artifact")
+    # the seed domain (the third difference) is in test_negative_seed_exits_2_before_any_work;
+    # the oracle reads the same specs, so it refuses a negative seed too
+    assert _outcome(argparse_parse, ["ghz", "--seed", "-2"]) == EXIT_CONFIG
+
+
+# edge values of the property test below, beside junk text and the choices
+EDGE_VALUES = ("0", "1", "5e-324", "1e300", "-1e300", "-5", str(2**63))
+
+
+def _drawn_argv(st):
+    """A command and up to six flag groups drawn from COMMAND_PARAMS and GLOBAL_PARAMS."""
+    specs = cli.GLOBAL_PARAMS + sum(cli.COMMAND_PARAMS.values(), ())
+    choices = tuple(choice for spec in specs for choice in spec.choices or ())
+    value = st.sampled_from(EDGE_VALUES + choices) | st.text(max_size=6)
+
+    def groups(command):
+        names = [spec.name.replace("_", "-")
+                 for spec in (*cli.COMMAND_PARAMS[command], *cli.GLOBAL_PARAMS)]
+        # a name, or a prefix of it
+        flag = st.builds(lambda name, end: "--" + name[:end], st.sampled_from(names),
+                         st.integers(1, 12))
+        group = st.one_of(
+            st.tuples(flag, value).map(list),
+            st.tuples(flag, value).map(lambda pair: ["=".join(pair)]),
+            flag.map(lambda name: [name]),  # no value follows
+            value.map(lambda junk: [junk]),
+        )
+        return st.lists(group, max_size=6).map(
+            lambda gs: [command] + [token for g in gs for token in g])
+
+    return st.one_of([groups(command) for command in cli.COMMAND_PARAMS])
+
+
+def test_reader_returns_a_config_or_a_documented_refusal():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(_drawn_argv(hypothesis.strategies))
+    def check(argv):
+        try:
+            assert isinstance(parse_args(argv), cli.RunConfig)
+            return
+        except HelpRequested:
+            assert any(token == "-h" or token.startswith("--h") for token in argv), argv
+            return
+        except (ConfigError, WorkBoundError, ValueError):
+            pass
+        # refused before any work: main prints exactly one error line
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (EXIT_CONFIG, EXIT_VALIDATION, EXIT_CAP) and out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+
+    check()
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +578,26 @@ def test_grow_names_an_underflowing_block_probability(capsys):
     assert "eta = 0 " not in err
 
 
-def test_grow_negative_seed_exits_3(capsys):
-    assert main(["grow", "--seed", "-1", "--trials", "2"]) == EXIT_VALIDATION
-    assert capsys.readouterr().err == "error: expected non-negative integer\n"
+def test_negative_seed_exits_2_before_any_work(tmp_path, monkeypatch, capsys):
+    def no_work(config):
+        raise AssertionError("the command ran")
+
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed = -3\n")
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "run", no_work)
+        for argv in (["grow", "--seed", "-1", "--trials", "2"],
+                     ["entangle", "--trials", "10", "--seed=-3"],
+                     ["budget", "--seed", "-7"], ["ghz", "--seed", "-2"],
+                     ["grow", "--config", str(cfg)],
+                     ["sweep", "ghz", "--range", "eta=0.5:1:0.5", "--config", str(cfg)]):
+            assert main(argv) == EXIT_CONFIG, argv
+            assert_one_error_line(capsys, "bad value for seed: must be >= 0")
+    # a huge seed is a seed
+    for argv in (["grow", "--trials", "3", "--seed", str(2**200)],
+                 ["entangle", "--trials", "10", "--seed", str(2**200)]):
+        assert main(argv) == EXIT_OK, argv
+        assert json.loads(capsys.readouterr().out)["seed"] == 2**200
 
 
 def assert_trials_refused(command, trials, out, capsys):
@@ -453,6 +692,18 @@ def test_sweep_grid_bound(capsys):
     assert "bound" in capsys.readouterr().err
     assert main(argv + ["--max-grid", "30000"]) == EXIT_OK
     capsys.readouterr()
+    # the bound is a count; a grid above 10^15 points is shown in %.3g form
+    assert main(["sweep", "ghz", "--range", "eta=0.1:0.2:0.1", "--max-grid", "-1"]) == EXIT_CONFIG
+    assert_one_error_line(capsys, "bad value for max_grid: must be >= 0")
+    assert main(["sweep", "ghz", "--range", "qubits=4:1e300:2"]) == EXIT_CAP
+    assert_one_error_line(capsys, "sweep grid has 5e+299 points, bound is 10000")
+    assert main(["sweep", "ghz", "--range", "qubits=4:1e300:2",
+                 "--range", "eta=0:1e300:1e-300"]) == EXIT_CAP
+    assert_one_error_line(capsys, "sweep grid has inf points")
+    assert main(["sweep", "ghz", "--range", "qubits=2:2e15:2", "--max-grid", "0"]) == EXIT_CAP
+    assert_one_error_line(capsys, "sweep grid has 1000000000000000 points, bound is 0")
+    assert main(["sweep", "ghz", "--range", "qubits=0:2e15:2"]) == EXIT_CAP
+    assert_one_error_line(capsys, "sweep grid has 1e+15 points")
 
 
 def test_sweep_range_validation(capsys):
@@ -649,7 +900,6 @@ def _fresh_process_artifact(argv) -> str:
 
 
 def test_shared_parser_carries_no_state_between_commands(tmp_path, capsys):
-    assert build_parser() is build_parser()
     cfg = tmp_path / "run.cfg"
     cfg.write_text("eta = 0.5\np_abs = 0.95\nseed = 4\nformat = csv\n")
     sweep = ["sweep", "ghz", "--set", "qubits=4", "--range", "eta=0.3:0.9:0.3"]
@@ -704,16 +954,17 @@ import contextlib, io, sys
 import blockadesim
 print(sorted(m for m in sys.modules if m.startswith(("blockadesim.", "numpy"))))
 from blockadesim import cli
+argparse_on_import = "argparse" in sys.modules
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
-print(code, "numpy" in sys.modules)
+print(code, "numpy" in sys.modules, argparse_on_import or "argparse" in sys.modules)
 print(" ".join(sorted(m[len("blockadesim."):] for m in sys.modules
                       if m.startswith("blockadesim."))))
 """
     done = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True,
                           text=True, env=_child_env(), check=True)
     bare, outcome, loaded = done.stdout.splitlines()
-    # importing the package loads none of its modules
+    # importing the package loads none of its modules; the cli never loads argparse
     assert bare == "[]"
-    assert outcome == f"0 {numpy}"
+    assert outcome == f"0 {numpy} False"
     assert set(loaded.split()) == {"budget", "cli", "rates"} | layers
