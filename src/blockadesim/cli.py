@@ -596,8 +596,6 @@ def run(config: RunConfig) -> str:
 
 def _render_csv(rows: list) -> str:
     _finite_pairs(rows)
-    if not rows:
-        return "schema_version\n"
     buf = io.StringIO()
     names = ["schema_version"] + list(rows[0])
     writer = csv.DictWriter(buf, fieldnames=names, lineterminator="\n")

@@ -681,5 +681,12 @@ def expected_cost_markov(policy: GrowthPolicy, eta: float, eta_prime: float) -> 
         raise ValueError(f"the Markov solve is singular at eta_prime = {eta_prime!r}, "
                          f"target {target}") from None
     blocks, links = (float(x) for x in solution[index[start]])
+    # every trial draws a block and one above a block links at least once, so
+    # a smaller or non-finite cost is the solve of I - P failing where 1 - q rounds
+    if (not (math.isfinite(blocks) and math.isfinite(links)) or blocks < 1.0
+            or (target > block and links < 1.0)):
+        raise ValueError(f"the Markov solve gives impossible costs (blocks {blocks!r}, "
+                         f"link attempts {links!r}) at eta_prime = {eta_prime!r}, "
+                         f"target {target}")
     return ExpectedCost(blocks=blocks, link_attempts=links,
                         generation_attempts=blocks / p_block, steps=blocks + links)

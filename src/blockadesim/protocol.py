@@ -46,8 +46,9 @@ single-click patterns give the up and down targets above.
 
 Register reduction
 ------------------
-Both circuits list their ensemble registers first and detect every optical
-port, so one path reduces either to its registers.  What is computed where:
+Both circuits build their modes with ``_register`` (registers first, one port
+per ensemble) and detect every port, so one path reduces either to its
+registers.  What is computed where:
 
 * per circuit and absorption model (cached, so a sweep over detector models
   pays it once): the pure pre-detection state, and one pass over it that
@@ -59,9 +60,9 @@ port, so one path reduces either to its registers.  What is computed where:
 * per detector model: each occupation tuple's weight under every click
   pattern (``detect_all_probabilities``);
 * per pattern: the weighted branches summed into one register density
-  operator, which the chain scores and the pair entangler mixes per
-  herald.  Only there and in the sampler's sequential oracle are density
-  operators made.
+  operator, which the chain scores and the pair entangler mixes per herald
+  (``_HERALDS``).  Only there and in the sampler's sequential oracle are
+  density operators made.
 """
 
 from __future__ import annotations
@@ -106,8 +107,8 @@ from .state_algebra import (
 UP = "up"
 DOWN = "down"
 
-# recombiner output port assignment for the pair entangler
-_PAIR_MODE_OF = {UP: 2, DOWN: 3}
+# recombiner output ports watched by the pair entangler's up and down detectors
+PAIR_DETECTED_MODES = (2, 3)
 
 
 class HeraldPolicy(enum.Enum):
@@ -125,31 +126,35 @@ class HeraldPolicy(enum.Enum):
     EXCLUSIVE = "exclusive"
 
 
-def pair_register() -> tuple:
-    return (
-        EnsembleQudit("A"),
-        EnsembleQudit("B"),
-        OpticalMode(2, "port1"),
-        OpticalMode(2, "port2"),
-    )
+# click patterns (up click, down click) mixed, in this order, into each herald
+# branch of the pair entangler; a branch is scored against the ideal target of
+# its first pattern
+_HERALDS = {
+    HeraldPolicy.PER_DETECTOR: {UP: ((True, False), (True, True)),
+                                DOWN: ((False, True), (True, True))},
+    HeraldPolicy.EXCLUSIVE: {UP: ((True, False),), DOWN: ((False, True),)},
+}
 
 
-def _recombine(state: HybridState, mode_a: int, mode_b: int) -> HybridState:
-    state = beam_splitter(state, mode_a, mode_b)
-    return phase_shift(state, mode_a, -math.pi / 2.0)
+def _register(ensembles: str) -> tuple:
+    """One qudit per named ensemble, then one two-photon port per ensemble."""
+    return (tuple(EnsembleQudit(name) for name in ensembles)
+            + tuple(OpticalMode(2, f"port{k}") for k in range(1, len(ensembles) + 1)))
 
 
 def _pair_stage(state: HybridState, ens_a: int, ens_b: int, mode_a: int, mode_b: int,
                 absorption: AbsorptionModel) -> HybridState:
+    """Split the photon pair, absorb each port, then recombine (see the module docstring)."""
     state = beam_splitter(state, mode_a, mode_b)
     state = blockade_absorb(state, ens_a, mode_a, absorption)
     state = blockade_absorb(state, ens_b, mode_b, absorption)
-    return _recombine(state, mode_a, mode_b)
+    state = beam_splitter(state, mode_a, mode_b)
+    return phase_shift(state, mode_a, -math.pi / 2.0)
 
 
 def pair_pre_detection_state(absorption: AbsorptionModel) -> HybridState:
     """Pure state of (A, B, port1, port2) just before the detectors."""
-    state = HybridState.basis(pair_register(), ("e", "e", 1, 1))
+    state = HybridState.basis(_register("AB"), ("e", "e", 1, 1))
     return _pair_stage(state, 0, 1, 2, 3, absorption)
 
 
@@ -243,41 +248,28 @@ def entangle_pair_exact(absorption: AbsorptionModel = AbsorptionModel(),
                         policy: HeraldPolicy = HeraldPolicy.PER_DETECTOR) -> EntangleOutcome:
     """Full outcome enumeration of the heralded pair protocol.
 
-    Branch probabilities and conditional states follow the chosen herald
+    Each herald branch mixes the click patterns ``_HERALDS`` lists for the
     policy; the conditional states are mixed from the cached register
     branches (see the module docstring), so they hold the two ensembles in
     the storage basis.  Up is scored against the ideal target of the
     (True, False) pattern and down against that of (False, True).
     """
-    modes = (_PAIR_MODE_OF[UP], _PAIR_MODE_OF[DOWN])
     table = detect_all_probabilities(
-        _register_groups(pair_pre_detection_state, modes, absorption), detector)
-    ideal = _ideal_targets(pair_pre_detection_state, modes)
-    targets = {UP: ideal[(True, False)], DOWN: ideal[(False, True)]}
-
-    def joint(first: bool, second: bool) -> tuple:
-        return table[(first, second)]
-
+        _register_groups(pair_pre_detection_state, PAIR_DETECTED_MODES, absorption), detector)
+    targets = _ideal_targets(pair_pre_detection_state, PAIR_DETECTED_MODES)
     branches = {}
-    for which, pick in ((UP, lambda c1, c2: c1), (DOWN, lambda c1, c2: c2)):
-        if policy is HeraldPolicy.PER_DETECTOR:
-            selected = [(c1, c2) for c1 in (False, True) for c2 in (False, True)
-                        if pick(c1, c2)]
-        else:
-            selected = [(True, False)] if which == UP else [(False, True)]
+    for which, patterns in _HERALDS[policy].items():
         prob = 0.0
         mix = []
-        for c1, c2 in selected:
-            p, rho = joint(c1, c2)
+        for clicks in patterns:
+            p, rho = table[clicks]
             if p > 0.0:
                 prob += p
                 mix.append((p, rho))
+        conditional = fid = None
         if prob > 0.0:
             conditional = DensityOperator.mixture(mix).scaled(1.0 / prob)
-            fid = fidelity(conditional, targets[which])
-        else:
-            conditional = None
-            fid = None
+            fid = fidelity(conditional, targets[patterns[0]])
         branches[which] = HeraldBranch(
             probability=prob,
             conditional_state=conditional,
@@ -285,9 +277,9 @@ def entangle_pair_exact(absorption: AbsorptionModel = AbsorptionModel(),
         )
 
     if policy is HeraldPolicy.PER_DETECTOR:
-        success = 1.0 - joint(False, False)[0]
+        success = 1.0 - table[(False, False)][0]
     else:
-        success = joint(True, False)[0] + joint(False, True)[0]
+        success = table[(True, False)][0] + table[(False, True)][0]
     return EntangleOutcome(
         policy=policy,
         success_probability=success,
@@ -335,12 +327,13 @@ def entangle_pair_sampled(absorption: AbsorptionModel, detector: DetectorModel,
         raise ValueError(f"trials must be in [1, 2^63 - 1], got {trials}")
     import numpy as np  # imported here so that the exact commands never load numpy
 
+    mode_up, mode_down = PAIR_DETECTED_MODES
     rho = DensityOperator.from_pure(pair_pre_detection_state(absorption))
     joint = {(c1, c2): 0.0 for c1 in (False, True) for c2 in (False, True)}
-    for c1, p1, post1 in detect_outcomes(rho, _PAIR_MODE_OF[UP], detector):
+    for c1, p1, post1 in detect_outcomes(rho, mode_up, detector):
         if post1 is None:
             continue
-        for c2, p2, _ in detect_outcomes(post1, _PAIR_MODE_OF[DOWN], detector):
+        for c2, p2, _ in detect_outcomes(post1, mode_down, detector):
             joint[(c1, c2)] = p1 * p2
 
     order = [(True, True), (True, False), (False, True), (False, False)]
@@ -374,22 +367,9 @@ def entangle_pair_sampled(absorption: AbsorptionModel, detector: DetectorModel,
 GHZ_DETECTED_MODES = (4, 5, 7, 6)
 
 
-def ghz_register() -> tuple:
-    return (
-        EnsembleQudit("A"),
-        EnsembleQudit("B"),
-        EnsembleQudit("C"),
-        EnsembleQudit("D"),
-        OpticalMode(2, "port1"),
-        OpticalMode(2, "port2"),
-        OpticalMode(2, "port3"),
-        OpticalMode(2, "port4"),
-    )
-
-
 def ghz_pre_detection_state(absorption: AbsorptionModel) -> HybridState:
     """State of (A..D, port1..port4) after both stages and cross-recombination."""
-    state = HybridState.basis(ghz_register(), ("e", "e", "e", "e", 1, 1, 1, 1))
+    state = HybridState.basis(_register("ABCD"), ("e", "e", "e", "e", 1, 1, 1, 1))
     state = _pair_stage(state, 0, 1, 4, 5, absorption)
     state = _pair_stage(state, 2, 3, 6, 7, absorption)
     # cross-recombiners erase which-stage information: port1 x port3, port2 x port4

@@ -30,7 +30,6 @@ from blockadesim.protocol import (
     entangle_pair_sampled,
     ghz4_exact,
     ghz_success_probability,
-    pair_register,
     pair_pre_detection_state,
 )
 from blockadesim.state_algebra import (
@@ -98,12 +97,12 @@ def test_criterion_1_hom_identity(capsys):
 
 def test_criterion_2_pair_state_reproduction(capsys):
     with criterion(capsys, 2, "heralded pair pre-detection state and conditionals", 1.0):
-        regs = pair_register()[:2]
+        regs = (EnsembleQudit("A"), EnsembleQudit("B"))
 
         def interferometer_arm(sign):
             return HybridState(regs, {("r1", "e"): RT2, ("e", "r1"): sign * 1j * RT2})
 
-        modes = pair_register()[2:]
+        modes = (OpticalMode(2, "port1"), OpticalMode(2, "port2"))
         expected = tensor(interferometer_arm(+1), HybridState.basis(modes, (0, 1))) \
             .add(tensor(interferometer_arm(-1), HybridState.basis(modes, (1, 0)))) \
             .scaled(1j * RT2)

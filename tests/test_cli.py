@@ -571,6 +571,27 @@ def test_grow_singular_markov_solve_exits_before_any_trial(monkeypatch, capsys):
     assert "eta_prime = 1e-300" in err and "target 6" in err
 
 
+@pytest.mark.parametrize("target, eta_prime", [("8", "1e-100"), ("12", "1e-100"),
+                                               ("16", "1e-100"), ("12", "1e-300"),
+                                               ("16", "1e-300")])
+def test_grow_impossible_markov_costs_exit_before_any_trial(target, eta_prime, tmp_path,
+                                                            monkeypatch, capsys):
+    def no_trial(*args):
+        raise AssertionError("a growth trial ran")
+
+    # the solve gives 0 blocks and -1 link attempts at target 8, and about
+    # -8 / eta_prime blocks at targets 12 and 16
+    monkeypatch.setattr(growth_mod, "_walk_trials", no_trial)
+    out = tmp_path / "grow.json"
+    argv = ["grow", "--target", target, "--eta-prime", eta_prime, "--trials", "2",
+            "--cap", "100", "--output", str(out)]
+    assert main(argv) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.count("error:") == 1
+    assert f"eta_prime = {eta_prime}" in captured.err and f"target {target}" in captured.err
+
+
 def test_grow_names_an_underflowing_block_probability(capsys):
     assert main(["grow", "--eta", "1e-300", "--trials", "2", "--target", "4"]) == EXIT_VALIDATION
     err = capsys.readouterr().err

@@ -232,9 +232,9 @@ def sequential_pair_joint(absorption, det):
     """P(click up, click down) by detecting port 1, then port 2, on the density operator."""
     rho = DensityOperator.from_pure(pair_pre_detection_state(absorption))
     joint = {(c1, c2): 0.0 for c1 in (False, True) for c2 in (False, True)}
-    for c1, p1, post1 in detect_outcomes(rho, protocol._PAIR_MODE_OF[UP], det):
+    for c1, p1, post1 in detect_outcomes(rho, protocol.PAIR_DETECTED_MODES[0], det):
         if post1 is not None:
-            for c2, p2, _ in detect_outcomes(post1, protocol._PAIR_MODE_OF[DOWN], det):
+            for c2, p2, _ in detect_outcomes(post1, protocol.PAIR_DETECTED_MODES[1], det):
                 joint[(c1, c2)] = p1 * p2
     return joint
 
@@ -275,6 +275,22 @@ def test_entangle_sampled_exclusive_counts():
     assert stats.n_heralds == stats.n_up_only + stats.n_down_only
     assert_within_3sigma(stats.herald_rate, stats.expected_success_probability,
                          stats.trials, "exclusive herald rate")
+
+
+@pytest.mark.parametrize("argv", [["entangle", "--eta", "0"],
+                                  ["entangle", "--eta", "0", "--policy", "exclusive"],
+                                  ["ghz", "--qubits", "4", "--eta", "0"]],
+                         ids=["per-detector", "exclusive", "ghz4"])
+def test_zero_probability_heralds_print_float_zero_and_no_fidelity(argv):
+    # no click heralds anything, and every sum starts from 0.0: an int 0
+    # would print "probability": 0
+    results = json.loads(run(parse_args(argv)))["results"]
+    circuit = results["circuit"] if argv[0] == "ghz" else results
+    branches = circuit["accepted"] if argv[0] == "ghz" else [results["up"], results["down"]]
+    assert len(branches) == (4 if argv[0] == "ghz" else 2)
+    for branch in branches:
+        assert repr(branch["probability"]) == "0.0" and branch["fidelity"] is None
+    assert repr(circuit["success_probability"]) == "0.0"
 
 
 # ---------------------------------------------------------------------------
