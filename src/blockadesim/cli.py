@@ -408,7 +408,7 @@ def _handle_entangle(params: dict, seed: int) -> tuple:
         gate_time_s=params["gate_time"],
     )
     policy = protocol_mod.HeraldPolicy(params["policy"])
-    outcome = protocol_mod.entangle_pair_exact(absorption, detector, policy)
+    outcome = protocol_mod.entangle_pair_scored(absorption, detector, policy)
 
     def branch_dict(b):
         return {"probability": b.probability, "fidelity": b.fidelity}

@@ -31,7 +31,9 @@ into three costs, each paid once:
   weight under every click pattern, the Kronecker product of one
   (no click, click) pair per mode;
 * per pattern: ``detect_all_probabilities`` sums the weighted branches into
-  one normalized density operator, the measured modes left in vacuum.
+  one normalized density operator, the measured modes left in vacuum;
+  ``score_patterns`` instead sums scalars, each pattern's probability and
+  its weighted overlaps with pure targets, which is all a fidelity needs.
 
 ``detect_outcomes`` conditions a density operator one mode at a time: the
 sampler's click distribution, and the joint table's oracle.
@@ -319,4 +321,36 @@ def detect_all_probabilities(groups: OccupationGroups, det: DetectorModel) -> di
             factor = complex(1.0 / prob)
             out[pattern] = (prob, DensityOperator._trusted(
                 groups.branches[0][1].subsystems, {pair: factor * v for pair, v in elems.items()}))
+    return out
+
+
+def score_patterns(groups: OccupationGroups, det: DetectorModel, targets: Sequence) -> dict:
+    """Joint detection by scalars: each click pattern's probability and target overlaps.
+
+    The branches b_g of ``groups`` mix incoherently, so under a pattern with
+    weights w_g a pure target t needs no density operator (Jozsa, J. Mod.
+    Opt. 41, 2315 (1994)): the probability is sum_g w_g ||b_g||^2, summed in
+    the order ``detect_all_probabilities`` uses and zeroed below the same
+    threshold, and the probability times the fidelity to t is sum_g w_g
+    |<t|b_g>|^2.  Returns ``{clicks: (probability, (that sum per target in
+    targets order, ...))}`` over every tuple of clicks.
+    """
+    if not isinstance(groups, OccupationGroups):
+        raise TypeError(f"expected OccupationGroups, got {type(groups).__name__}")
+    norms, overlaps = [], []
+    for _, branch in groups.branches:
+        norms.append(branch.norm_squared())
+        overlaps.append(tuple(abs(t.inner(branch)) ** 2 for t in targets))
+    table = _pattern_weights(det, groups.cutoffs, [occ for occ, _ in groups.branches])
+    zeros = (0.0,) * len(targets)
+    out = {}
+    for pattern, weights in table:
+        prob = 0.0
+        sums = zeros
+        for w, norm, overlap in zip(weights, norms, overlaps):
+            if w == 0.0:
+                continue
+            prob += w * norm
+            sums = tuple(s + w * o for s, o in zip(sums, overlap))
+        out[pattern] = (0.0, zeros) if prob <= ATOL_STATE else (prob, sums)
     return out

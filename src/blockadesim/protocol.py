@@ -62,7 +62,12 @@ registers.  What is computed where:
 * per pattern: the weighted branches summed into one register density
   operator, which the chain scores and the pair entangler mixes per herald
   (``_HERALDS``).  Only there and in the sampler's sequential oracle are
-  density operators made.
+  density operators made;
+* per pattern, by scalars (``entangle_pair_scored``, what the ``entangle``
+  command prints): each pattern's probability and weighted overlaps with
+  the pair's two targets (``optics.score_patterns``), mixed per herald the
+  same way and divided by the herald probability.  The pair's targets are
+  built once per process.
 """
 
 from __future__ import annotations
@@ -89,6 +94,7 @@ from .optics import (
     detect_all_probabilities,
     detect_outcomes,
     phase_shift,
+    score_patterns,
 )
 # re-exported: callers, perfbench/checks.py among them, import the two
 # closed-form rates from protocol too
@@ -136,6 +142,16 @@ _HERALDS = {
 }
 
 
+def _success(policy: HeraldPolicy, table: dict) -> float:
+    """Herald probability from a ``{clicks: (probability, ...)}`` table.
+
+    The sum over each pattern that some branch of ``policy`` mixes: a sum of
+    non-negative terms, never below 0 as ``1 - p(no click)`` can be.
+    """
+    patterns = dict.fromkeys(c for branch in _HERALDS[policy].values() for c in branch)
+    return sum(table[clicks][0] for clicks in patterns)
+
+
 def _register(ensembles: str) -> tuple:
     """One qudit per named ensemble, then one two-photon port per ensemble."""
     return (tuple(EnsembleQudit(name) for name in ensembles)
@@ -163,7 +179,8 @@ class HeraldBranch:
     """One detector's herald branch of the pair protocol."""
 
     probability: float
-    conditional_state: Optional[DensityOperator]  # storage basis, registers (A, B)
+    # storage basis, registers (A, B); None when scored by scalars
+    conditional_state: Optional[DensityOperator]
     fidelity: Optional[float]
 
 
@@ -276,13 +293,48 @@ def entangle_pair_exact(absorption: AbsorptionModel = AbsorptionModel(),
             fidelity=fid,
         )
 
-    if policy is HeraldPolicy.PER_DETECTOR:
-        success = 1.0 - table[(False, False)][0]
-    else:
-        success = table[(True, False)][0] + table[(False, True)][0]
     return EntangleOutcome(
         policy=policy,
-        success_probability=success,
+        success_probability=_success(policy, table),
+        up=branches[UP],
+        down=branches[DOWN],
+    )
+
+
+@lru_cache(maxsize=1)
+def _pair_targets() -> dict:
+    """The pair entangler's ideal targets, built once per process."""
+    return _ideal_targets(pair_pre_detection_state, PAIR_DETECTED_MODES)
+
+
+def entangle_pair_scored(absorption: AbsorptionModel = AbsorptionModel(),
+                         detector: DetectorModel = DetectorModel.ideal(),
+                         policy: HeraldPolicy = HeraldPolicy.PER_DETECTOR) -> EntangleOutcome:
+    """``entangle_pair_exact``'s numbers by scalars, without conditional states.
+
+    Each herald branch sums its ``_HERALDS`` patterns' probabilities and
+    weighted overlaps with the branch's target (``optics.score_patterns``)
+    and divides the second by the first; ``entangle_pair_exact`` is its
+    oracle.  Every branch's ``conditional_state`` is None.
+    """
+    heralds = _HERALDS[policy]
+    targets = _pair_targets()
+    scores = score_patterns(
+        _register_groups(pair_pre_detection_state, PAIR_DETECTED_MODES, absorption), detector,
+        [targets[patterns[0]] for patterns in heralds.values()])
+    branches = {}
+    for index, (which, patterns) in enumerate(heralds.items()):
+        prob = overlap = 0.0
+        for clicks in patterns:
+            p, overlaps = scores[clicks]
+            prob += p
+            overlap += overlaps[index]
+        # clipped to [0, 1] as state_algebra.fidelity clips
+        fid = min(max(overlap / prob, 0.0), 1.0) if prob > 0.0 else None
+        branches[which] = HeraldBranch(probability=prob, conditional_state=None, fidelity=fid)
+    return EntangleOutcome(
+        policy=policy,
+        success_probability=_success(policy, scores),
         up=branches[UP],
         down=branches[DOWN],
     )

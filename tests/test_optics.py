@@ -13,6 +13,7 @@ from blockadesim.optics import (
     detect_outcomes,
     group_occupations,
     phase_shift,
+    score_patterns,
 )
 from blockadesim.state_algebra import (
     ATOL_STATE,
@@ -329,6 +330,37 @@ def test_detect_all_zero_probability_patterns_have_no_post():
     for pattern in ((True, False), (False, True), (True, True)):
         p, post = table[pattern]
         assert p == 0.0 and post is None
+
+
+def test_score_patterns_matches_the_density_operator_table():
+    # the scalar scorer against the post states it avoids building: the same
+    # probability bit for bit, and overlap sum / probability = fidelity
+    rng = np.random.default_rng(5)
+    subs = (EnsembleQudit("A"), OpticalMode(2, "m1"), EnsembleQudit("B"), OpticalMode(2, "m2"))
+    detectors = (DetectorModel(efficiency=0.0), DetectorModel(efficiency=0.45),
+                 DetectorModel(efficiency=1.0), DetectorModel(efficiency=0.8, dark_count_rate_hz=3e4))
+    for det in detectors:
+        for _ in range(10):
+            groups = group_occupations(random_state(rng, subs, max_terms=30), (3, 1))
+            targets = [random_state(rng, subs, max_terms=8) for _ in range(3)]
+            table = detect_all_probabilities(groups, det)
+            scores = score_patterns(groups, det, targets)
+            assert list(scores) == list(table)
+            for pattern, (prob, post) in table.items():
+                p, overlaps = scores[pattern]
+                assert p.hex() == prob.hex() and len(overlaps) == len(targets)
+                if post is None:
+                    assert overlaps == (0.0,) * len(targets)
+                    continue
+                for target, overlap in zip(targets, overlaps):
+                    assert overlap / p == pytest.approx(fidelity(post, target), abs=1e-12)
+    # a pattern at or below the table's probability threshold heralds nothing
+    faint = HybridState((EnsembleQudit("A"), OpticalMode(2, "m")), {("g", 0): 1.0, ("s", 1): 1e-7})
+    groups = group_occupations(faint, (1,))
+    assert detect_all_probabilities(groups, DetectorModel.ideal())[(True,)] == (0.0, None)
+    assert score_patterns(groups, DetectorModel.ideal(), [faint])[(True,)] == (0.0, (0.0,))
+    with pytest.raises(TypeError):
+        score_patterns(random_state(rng, subs), DetectorModel.ideal(), ())
 
 
 def test_group_occupations_validation():

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import json
 import math
 
@@ -15,6 +16,7 @@ from blockadesim.protocol import (
     HeraldPolicy,
     entangle_pair_exact,
     entangle_pair_sampled,
+    entangle_pair_scored,
     ghz4_exact,
     ghz_pre_detection_state,
     pair_pre_detection_state,
@@ -279,11 +281,14 @@ def test_entangle_sampled_exclusive_counts():
 
 @pytest.mark.parametrize("argv", [["entangle", "--eta", "0"],
                                   ["entangle", "--eta", "0", "--policy", "exclusive"],
+                                  ["entangle", "--eta", "0", "--p-abs", "0"],
+                                  ["entangle", "--eta", "0", "--p-abs", "0.5"],
                                   ["ghz", "--qubits", "4", "--eta", "0"]],
-                         ids=["per-detector", "exclusive", "ghz4"])
+                         ids=["per-detector", "exclusive", "p_abs-0", "p_abs-0.5", "ghz4"])
 def test_zero_probability_heralds_print_float_zero_and_no_fidelity(argv):
     # no click heralds anything, and every sum starts from 0.0: an int 0
-    # would print "probability": 0
+    # would print "probability": 0, and 1 - p(no click) printed -4.4e-16
+    # where p(no click) summed to 1.0000000000000004
     results = json.loads(run(parse_args(argv)))["results"]
     circuit = results["circuit"] if argv[0] == "ghz" else results
     branches = circuit["accepted"] if argv[0] == "ghz" else [results["up"], results["down"]]
@@ -291,6 +296,45 @@ def test_zero_probability_heralds_print_float_zero_and_no_fidelity(argv):
     for branch in branches:
         assert repr(branch["probability"]) == "0.0" and branch["fidelity"] is None
     assert repr(circuit["success_probability"]) == "0.0"
+
+
+def pair_numbers(outcome):
+    return {"success_probability": outcome.success_probability,
+            "up.probability": outcome.up.probability, "up.fidelity": outcome.up.fidelity,
+            "down.probability": outcome.down.probability, "down.fidelity": outcome.down.fidelity}
+
+
+@pytest.mark.parametrize("policy", list(HeraldPolicy))
+def test_scored_pair_matches_the_density_operator_oracle(policy):
+    for p_abs, eta, dark_hz in itertools.product((1.0, 0.989, 0.9, 0.7, 0.3, 0.0),
+                                                 (1.0, 0.7, 0.3, 0.0), (0.0, 2e4)):
+        absorption = AbsorptionModel(p_abs)
+        det = DetectorModel(efficiency=eta, dark_count_rate_hz=dark_hz)
+        oracle = entangle_pair_exact(absorption, det, policy)
+        scored = entangle_pair_scored(absorption, det, policy)
+        assert scored.up.conditional_state is None and scored.down.conditional_state is None
+        got_numbers = pair_numbers(scored)
+        for what, want in pair_numbers(oracle).items():
+            got = got_numbers[what]
+            if want is None:
+                assert got is None, (what, p_abs, eta, dark_hz)
+            else:
+                assert got == pytest.approx(want, abs=1e-12), (what, p_abs, eta, dark_hz)
+        assert scored.success_probability >= 0.0
+
+
+@pytest.mark.parametrize("policy", list(HeraldPolicy))
+def test_entangle_artifact_carries_the_scored_numbers(policy):
+    argv = ["entangle", "--eta", "0.6", "--p-abs", "0.93", "--gamma-dc", "2e4",
+            "--policy", policy.value]
+    results = json.loads(run(parse_args(argv)))["results"]
+    scored = entangle_pair_scored(AbsorptionModel(0.93),
+                                  DetectorModel(efficiency=0.6, dark_count_rate_hz=2e4), policy)
+    assert results["success_probability"] == scored.success_probability
+    assert results["fidelity"] == scored.heralded_fidelity
+    for which in (UP, DOWN):
+        branch = getattr(scored, which)
+        assert results[which] == {"probability": branch.probability, "fidelity": branch.fidelity}
 
 
 # ---------------------------------------------------------------------------
