@@ -304,7 +304,7 @@ def _require_finite(params: dict):
 
 
 def _parse_range(command: str, text: str) -> tuple:
-    """(spec, start, step, point count, integral) of one --range; no grid is built."""
+    """(spec, start, stop, step, point count, integral) of one --range; no grid is built."""
     if "=" not in text:
         raise ConfigError(f"expected KEY=START:STOP:STEP, got {text!r}")
     key, spec_text = text.split("=", 1)
@@ -325,14 +325,15 @@ def _parse_range(command: str, text: str) -> tuple:
     if integral and not (start.is_integer() and step.is_integer()):
         raise ConfigError(f"range for integer {key} needs integral start and step")
     span = (stop - start) / step  # overflows to inf on an absurd grid
-    count = int(span + 1e-9) + 1 if math.isfinite(span) else math.inf
-    return spec, start, step, count, integral
+    # a float grid keeps a last point that rounding puts just past stop
+    count = int(span + (0.0 if integral else 1e-9)) + 1 if math.isfinite(span) else math.inf
+    return spec, start, stop, step, count, integral
 
 
-def _grid_values(spec: ParamSpec, start: float, step: float, count: int,
+def _grid_values(spec: ParamSpec, start: float, stop: float, step: float, count: int,
                  integral: bool) -> tuple:
-    """The grid of one --range, each value through the parameter's parser."""
-    values = (start + i * step for i in range(count))
+    """The grid of one --range, none past ``stop``, each through the parameter's parser."""
+    values = (min(start + i * step, stop) for i in range(count))
     # float(str(x)) == x, so only the parser's own checks act
     return tuple(_parse_value(spec, str(int(v) if integral else v)) for v in values)
 
@@ -383,10 +384,10 @@ def _run_config(command: str, swept_command: Optional[str], flags: dict) -> RunC
     names = [r[0].name for r in swept]
     if len(set(names)) != len(names):
         raise ConfigError("swept parameters must be distinct")
-    size = math.prod(r[3] for r in swept)
+    size = math.prod(r[4] for r in swept)
     max_grid = flags.get("max_grid", _MAX_GRID.default)
     if size > max_grid:
-        shown = size if size <= 10**15 else "%.3g" % math.prod(float(r[3]) for r in swept)
+        shown = size if size <= 10**15 else "%.3g" % math.prod(float(r[4]) for r in swept)
         raise WorkBoundError(f"sweep grid has {shown} points, bound is {max_grid}")
     ranges = tuple((r[0].name, _grid_values(*r)) for r in swept)
     _bound_trials(inner, params, ranges)
@@ -545,64 +546,57 @@ HANDLERS = {
 }
 
 
-def _run_sweep(config: RunConfig) -> list:
-    names = [name for name, _ in config.ranges]
-    grids = [values for _, values in config.ranges]
-    handler = HANDLERS[config.sweep_command]
-    rows = []
-    for point in itertools.product(*grids):
-        params = dict(config.params)
-        params.update(zip(names, point))
-        _, row = handler(params, config.seed)
-        rows.append(row)
-    return rows
-
-
 def run(config: RunConfig) -> str:
-    """Execute a parsed RunConfig and render the artifact text."""
+    """Execute a parsed RunConfig and render the artifact text.
+
+    A single command keeps its handler's results and row, a sweep the row of
+    every grid point; then both take one path.  JSON writes one envelope
+    (``params`` and ``results``, or ``rows``) with ``allow_nan=False`` as its
+    only check, and looks up the refused key only after a refusal.  csv and
+    text first check what they print (csv the rows, text the results or a
+    sweep's rows) with ``_finite_pairs``.  ``budget`` text renders the
+    report with ``budget.render_text``, built in place of the handler.
+    """
+    report = None
     if config.command == "sweep":
-        rows = _run_sweep(config)
-        if config.fmt == "json":
-            envelope = {
-                "schema_version": SCHEMA_VERSION,
-                "command": f"sweep {config.sweep_command}",
-                "seed": config.seed,
-                "rows": rows,
-            }
-            return json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False) + "\n"
-        if config.fmt == "csv":
-            return _render_csv(rows)
-        return _render_rows_text(rows)
-
-    if config.command == "budget" and config.fmt == "text":
-        report = _budget_report(config.params)
-        _finite_pairs(report.to_json_dict())
-        return budget_mod.render_text(report)
-    handler = HANDLERS[config.command]
-    results, row = handler(config.params, config.seed)
+        handler = HANDLERS[config.sweep_command]
+        names = [name for name, _ in config.ranges]
+        rows = [handler({**config.params, **dict(zip(names, point))}, config.seed)[1]
+                for point in itertools.product(*(grid for _, grid in config.ranges))]
+        command, body, printed = f"sweep {config.sweep_command}", {"rows": rows}, rows
+    else:
+        command = config.command
+        if command == "budget" and config.fmt == "text":
+            report = _budget_report(config.params)
+            results, row = report.to_json_dict(), None
+        else:
+            results, row = HANDLERS[command](config.params, config.seed)
+        body, rows, printed = {"params": config.params, "results": results}, [row], results
     if config.fmt == "json":
-        envelope = {
-            "schema_version": SCHEMA_VERSION,
-            "command": config.command,
-            "seed": config.seed,
-            "params": config.params,
-            "results": results,
-        }
-        return json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        envelope = {"schema_version": SCHEMA_VERSION, "command": command,
+                    "seed": config.seed, **body}
+        try:
+            return json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        except ValueError:
+            _finite_pairs(envelope)  # names the refused value
+            raise
+    pairs = _finite_pairs(rows if config.fmt == "csv" else printed)
     if config.fmt == "csv":
-        return _render_csv([row])
-    return _render_result_text(config, results)
-
-
-def _render_csv(rows: list) -> str:
-    _finite_pairs(rows)
-    buf = io.StringIO()
-    names = ["schema_version"] + list(rows[0])
-    writer = csv.DictWriter(buf, fieldnames=names, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({"schema_version": SCHEMA_VERSION, **row})
-    return buf.getvalue()
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=["schema_version", *rows[0]],
+                                lineterminator="\n")
+        writer.writeheader()
+        writer.writerows({"schema_version": SCHEMA_VERSION, **row} for row in rows)
+        return buf.getvalue()
+    if report is not None:
+        return budget_mod.render_text(report)
+    if config.command == "sweep":
+        lines = [f"blockadesim sweep (schema_version={SCHEMA_VERSION})"]
+        lines += ["  ".join(f"{k}={v}" for k, v in row.items()) for row in rows]
+    else:
+        lines = [f"blockadesim {command} (schema_version={SCHEMA_VERSION}, seed={config.seed})"]
+        lines += [f"{key} = {value}" for key, value in pairs]
+    return "\n".join(lines) + "\n"
 
 
 def _finite_pairs(data) -> list:
@@ -628,21 +622,6 @@ def _flatten(prefix: str, value, out: list):
             _flatten(f"{prefix}[{i}]", v, out)
     else:
         out.append((prefix, value))
-
-
-def _render_result_text(config: RunConfig, results: dict) -> str:
-    pairs = _finite_pairs(results)
-    lines = [f"blockadesim {config.command} (schema_version={SCHEMA_VERSION}, seed={config.seed})"]
-    lines += [f"{key} = {value}" for key, value in pairs]
-    return "\n".join(lines) + "\n"
-
-
-def _render_rows_text(rows: list) -> str:
-    _finite_pairs(rows)
-    lines = [f"blockadesim sweep (schema_version={SCHEMA_VERSION})"]
-    for row in rows:
-        lines.append("  ".join(f"{k}={v}" for k, v in row.items()))
-    return "\n".join(lines) + "\n"
 
 
 def _write_atomic(path: Path, text: str):

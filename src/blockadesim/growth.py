@@ -30,11 +30,10 @@ Trial ``t`` of a run with seed ``s`` draws from the stream of
 ``default_rng([s, t])``.  ``simulate_growth`` computes those PCG64 states in
 one vectorised pass of numpy's SeedSequence hash per block of trials, checks
 trial 0 of the first pass against numpy itself, and sets each state on one
-reused generator.  Its trials draw their uniforms 256, 512, then 1,024 at
-a time, so a short trial leaves few of them unused and a long one makes few
-draws; uniforms past a trial's end are never read, so the sizes change no
-result.  ``run_trial`` draws 256 at a time throughout, so the generator it
-is handed ends where a step-by-step loop over such chunks leaves it.
+reused generator.  Every trial, ``run_trial``'s among them, draws its
+uniforms 256, 512, then 1,024 at a time, so a short trial leaves few of them
+unused and a long one makes few draws; uniforms past a trial's end are never
+read, so the sizes change no result, only where the generator ends.
 
 ``expected_cost_markov`` evaluates the same rules exactly: the reachable
 state space is tiny and the expected costs solve a linear system over it.
@@ -110,12 +109,10 @@ _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
 # Trials seeded per vectorised pass; bounds the seeding memory.
 _SEED_BLOCK = 4096
-# Uniforms a trial draws from its generator at a time, one per step.
-# run_trial draws _DRAW_CHUNK at a time.  simulate_growth draws the sizes of
-# _DRAW_CHUNKS in turn, the last one repeating: a short trial leaves few
-# uniforms unused, a long one makes few draws, and the largest size keeps
-# every array of a tally batch under 128 KiB.
-_DRAW_CHUNK = 256
+# Uniforms a trial draws from its generator at a time, one per step: the
+# sizes in turn, the last one repeating.  A short trial leaves few uniforms
+# unused, a long one makes few draws, and the largest size keeps every array
+# of a tally batch under 128 KiB.
 _DRAW_CHUNKS = (256, 512, 1024)
 # Steps one byte of link bits covers: one table lookup walks them all.
 _BYTE = 8
@@ -386,15 +383,15 @@ def _trial_generators(seed: int, trials: int):
 
 
 def _walk_trials(policy: GrowthPolicy, p_block: float, eta_prime: float, rngs,
-                 trials: int, chunks: tuple) -> tuple:
+                 trials: int) -> tuple:
     """Run one growth trial per generator; return (rows, attempts, ends, won).
 
     ``rows[t]`` holds the step counters of trial t, an int64 row in table
     row order, ``attempts[t]`` its generation attempts as a Python int,
     ``ends[t]`` its final slot state (a, b) and ``won[t]`` whether that
     state is absorbed, i.e. the trial reached the target.  Each trial draws
-    uniforms from its generator in chunks of the sizes ``chunks`` in turn,
-    the last size repeating (multiples of 8), one per step, packs their
+    uniforms from its generator in chunks of the sizes ``_DRAW_CHUNKS`` in
+    turn, the last size repeating (multiples of 8), one per step, packs their
     link bits ``u < q`` into bytes and walks its cached
     transition graph one byte, 8 steps, per lookup; where the step cap cuts
     a byte, the walk ends with a tail entry of the steps left.  A trial ends
@@ -430,7 +427,7 @@ def _walk_trials(policy: GrowthPolicy, p_block: float, eta_prime: float, rngs,
     ids, uniforms, starts, first = [], [], [], 0
     for t, rng in enumerate(rngs):
         node, left = graph.start, policy.step_cap
-        for chunk in chain(chunks, repeat(chunks[-1])):
+        for chunk in chain(_DRAW_CHUNKS, repeat(_DRAW_CHUNKS[-1])):
             if len(ids) >= _TALLY_BYTES:
                 tally()
                 ids, uniforms, starts, first = [], [], [], t
@@ -488,12 +485,11 @@ def run_trial(policy: GrowthPolicy, p_block: float, eta_prime: float,
     slots and a trial is a walk over the slot states, 8 steps per table
     lookup.  The step rule lives only in ``_TransitionGraph.expand``; this
     is the trial kernel ``simulate_growth`` uses, run on one generator.  One
-    uniform is consumed per step from chunks of ``_DRAW_CHUNK``, so results
+    uniform is consumed per step from chunks of ``_DRAW_CHUNKS``, so results
     and the generator's final state are deterministic for a given generator
     state.
     """
-    rows, (attempts,), (end,), (won,) = _walk_trials(policy, p_block, eta_prime, [rng], 1,
-                                                     (_DRAW_CHUNK,))
+    rows, (attempts,), (end,), (won,) = _walk_trials(policy, p_block, eta_prime, [rng], 1)
     return won, _inventory(rows[0], attempts, end)
 
 
@@ -573,7 +569,7 @@ def simulate_growth(policy: GrowthPolicy, eta: float, eta_prime: float,
     p_block, _ = growth_rates(policy, eta, eta_prime)
 
     rows, gens, ends, won = _walk_trials(policy, p_block, eta_prime,
-                                         _trial_generators(seed, trials), trials, _DRAW_CHUNKS)
+                                         _trial_generators(seed, trials), trials)
     ends = np.array(ends, np.int64)
     blocks, links, wins, measured, dropped, steps = rows.T
     # every trial's qubit ledger, as ClusterInventory.assert_ledger_balanced checks one

@@ -225,14 +225,12 @@ def assert_within_3sigma(observed_rate, expected_p, trials, label=""):
 # ---------------------------------------------------------------------------
 # reference growth trial: the step rule as a plain per-step loop
 
-_DRAW_CHUNK = 256
-
-
 def reference_trial(policy, p_block, eta_prime, rng):
     """One growth trial stepped one uniform at a time; returns (succeeded, inventory).
 
     Kept as the oracle for ``growth.run_trial``: same rule, same draws (one
-    uniform per step, taken from chunks of 256), no transition graph.
+    uniform per step, drawn 256, 512, then 1,024 at a time), no transition
+    graph.
     """
     q = link_success_probability(eta_prime)
     target = policy.target_size
@@ -243,14 +241,16 @@ def reference_trial(policy, p_block, eta_prime, rng):
     a = 0  # slot value 0 means empty
     b = 0
     blocks = gens = links = wins = steps = measured = discarded = 0
-    buf = rng.random(_DRAW_CHUNK)
+    chunk = 256
+    buf = rng.random(chunk)
     pos = 0
     while steps < cap:
         if a >= target or b >= target:
             break
         steps += 1
-        if pos == _DRAW_CHUNK:
-            buf = rng.random(_DRAW_CHUNK)
+        if pos == chunk:
+            chunk = min(2 * chunk, 1024)
+            buf = rng.random(chunk)
             pos = 0
         u = buf[pos]
         pos += 1

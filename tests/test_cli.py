@@ -673,8 +673,34 @@ def test_entangle_text_format():
     assert "success_probability = " in text
 
 
+def test_json_refusals_name_the_non_finite_value(tmp_path, capsys):
+    # finite inputs whose double-excitation probability overflows to inf
+    out = tmp_path / "artifact.json"
+    for argv, key in ((["budget", "--set", "blockade_mhz=1e-160"],
+                       "results.derived.p_double_excitation"),
+                      (["sweep", "budget", "--set", "blockade_mhz=1e-160",
+                        "--range", "temperature_k=0.001:0.002:0.001"],
+                       "rows[0].p_double_excitation")):
+        assert main(argv + ["--format", "json", "--output", str(out)]) == EXIT_VALIDATION
+        assert not out.exists()
+        assert_one_error_line(capsys, f"artifact value {key} = inf is not finite")
+
+
 # ---------------------------------------------------------------------------
 # sweep
+
+@pytest.mark.parametrize("single, swept", [
+    (["entangle", "--eta", "0.5"], ["entangle", "--range", "eta=0.5:0.5:1"]),
+    (["ghz", "--qubits", "4", "--p-abs", "0.95"],
+     ["ghz", "--set", "qubits=4", "--range", "p_abs=0.95:0.95:1"]),
+    (["budget", "--set", "dark_count_rate_hz=40"],
+     ["budget", "--range", "dark_count_rate_hz=40:40:1"]),
+    (["grow", "--trials", "30", "--eta", "0.9", "--seed", "3"],
+     ["grow", "--set", "trials=30", "--range", "eta=0.9:0.9:1", "--seed", "3"]),
+])
+def test_a_one_point_sweep_writes_the_single_commands_csv(single, swept):
+    assert run_text(["sweep", *swept, "--format", "csv"]) == run_text(single + ["--format", "csv"])
+
 
 def test_sweep_single_range_csv():
     text = run_text(["sweep", "entangle", "--range", "eta=0.2:1.0:0.2",
@@ -779,6 +805,25 @@ def test_sweep_rejects_fractional_integer_ranges(capsys):
     assert "integral" in capsys.readouterr().err
     config = parse_args(["sweep", "grow", "--range", "trials=1:3.5:1"])
     assert config.ranges == (("trials", (1, 2, 3)),)
+
+
+def test_no_grid_point_passes_its_stop(capsys):
+    # 0.1 + 2 * 0.1 is 0.30000000000000004
+    assert parse_args(["sweep", "entangle", "--range", "eta=0.1:0.3:0.1"]).ranges == (
+        ("eta", (0.1, 0.2, 0.3)),)
+    # the five grids ending at 1, with three-decimal starts and steps under
+    # 0.2, whose last point 1.0000000000000002 was out of range
+    for start, step in ((0.09, 0.035), (0.09, 0.07), (0.116, 0.017), (0.116, 0.034),
+                        (0.116, 0.068)):
+        for argv in (["sweep", "entangle", "--range", f"eta={start}:1:{step}"],
+                     ["sweep", "ghz", "--set", "qubits=4", "--range", f"p_abs={start}:1:{step}"]):
+            ((_, grid),) = parse_args(argv).ranges
+            assert grid[-1] == 1.0 and max(grid) == 1.0, argv
+            assert main(argv) == EXIT_OK, argv
+    capsys.readouterr()
+    # an integer grid whose stop lies just below a point stops before it
+    assert parse_args(["sweep", "grow", "--range", "trials=1:2.9999999999:1"]).ranges == (
+        ("trials", (1, 2)),)
 
 
 # ---------------------------------------------------------------------------

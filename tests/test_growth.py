@@ -229,7 +229,7 @@ def test_a_trial_absorbed_in_its_first_chunk_tallies_only_its_steps(monkeypatch)
         ok, inv = run_trial(GrowthPolicy(block, target), p_block, eta_prime,
                             np.random.default_rng([seed, target]))
         steps = inv.elapsed_steps
-        if not ok or steps > growth._DRAW_CHUNK:
+        if not ok or steps > growth._DRAW_CHUNKS[0]:
             continue
         absorbed += 1
         assert tallied.pop() == -(-steps // growth._BYTE)
@@ -435,8 +435,7 @@ def test_walk_buffers_a_bounded_number_of_steps(monkeypatch):
     # 50,000 steps are 6,250 byte steps, tallied in bounded batches
     assert sum(tallied) == 50_000 // growth._BYTE
     assert len(tallied) > 10
-    chunk = growth._DRAW_CHUNK // growth._BYTE
-    assert max(tallied) < growth._TALLY_BYTES + chunk
+    assert max(tallied) <= growth._TALLY_BYTES + max(growth._DRAW_CHUNKS) // growth._BYTE + 1
 
 
 # the cap 1 step before, at and after the end of chunks 1, 2 and 3 of the
@@ -451,14 +450,15 @@ def test_walk_trials_gives_the_same_trials_under_the_draw_schedule():
         policy = GrowthPolicy(block, target, cap)
         # p_block 5e-17 takes the attempt counts past int64
         for p_block, eta_prime, seed in ((0.28125, 0.5, 1), (0.6, 0.05, 2), (5e-17, 0.9, 3)):
-            want, got = (growth._walk_trials(policy, p_block, eta_prime,
-                                             growth._trial_generators(seed, 40), 40, chunks)
-                         for chunks in ((growth._DRAW_CHUNK,), growth._DRAW_CHUNKS))
-            assert got[0].dtype == want[0].dtype
-            assert got[0].tolist() == want[0].tolist(), (block, target, cap, p_block)
-            # the attempts lists, final states and outcomes
-            assert got[1:] == want[1:], (block, target, cap, p_block)
-            ends_in.update(zip(want[0][:, 5].tolist(), want[3]))
+            rows, attempts, ends, won = growth._walk_trials(
+                policy, p_block, eta_prime, growth._trial_generators(seed, 40), 40)
+            assert rows.dtype == np.int64
+            for t in range(40):
+                want_ok, want = reference_trial(policy, p_block, eta_prime,
+                                                np.random.default_rng([seed, t]))
+                got = growth._inventory(rows[t], attempts[t], ends[t])
+                assert (won[t], got) == (want_ok, want), (block, target, cap, p_block, t)
+                ends_in.add((want.elapsed_steps, want_ok))
     # trials reach the target inside each of the first three chunks, and
     # caps cut chunks 1 to 4
     steps = [s for s, won in ends_in if won]
@@ -496,10 +496,11 @@ def test_simulate_growth_buffers_a_bounded_number_of_steps(monkeypatch):
 
 
 def test_attempts_carried_across_tallies_stay_exact_past_int64(monkeypatch):
-    # p_block 3e-14: a tally of one chunk adds about 3e15 attempts, under the
-    # 2^53 that keeps a batch in int64, while the trial's total passes 2^63
-    policy = GrowthPolicy(4, 20, 800_000)
-    want = reference_trial(policy, 3e-14, 1e-6, np.random.default_rng(5))
+    # p_block 6e-14: a tally of one 1,024-uniform chunk adds about 7e15
+    # attempts (at most 7.9e15 here), under the 2^53 that keeps a batch in
+    # int64, while the trial's total passes 2^63
+    policy = GrowthPolicy(4, 20, 1_500_000)
+    want = reference_trial(policy, 6e-14, 1e-6, np.random.default_rng(5))
     assert want[1].generation_attempts >= 2**63
     dtypes, types = [], set()
     tally = growth._tally
@@ -512,7 +513,7 @@ def test_attempts_carried_across_tallies_stay_exact_past_int64(monkeypatch):
 
     monkeypatch.setattr(growth, "_tally", recording)
     monkeypatch.setattr(growth, "_TALLY_BYTES", 1)
-    assert run_trial(policy, 3e-14, 1e-6, np.random.default_rng(5)) == want
+    assert run_trial(policy, 6e-14, 1e-6, np.random.default_rng(5)) == want
     assert len(dtypes) > 1000 and set(dtypes) == {np.dtype(np.int64)} and types == {int}
 
 
@@ -522,8 +523,7 @@ def test_a_batch_of_trials_past_int64_tallies_exact_python_ints(monkeypatch):
     monkeypatch.setattr(growth, "_TALLY_BYTES", 10**6)
     policy = GrowthPolicy(4, 12, 1791)
     _, attempts, _, won = growth._walk_trials(policy, 5e-17, 0.9,
-                                              growth._trial_generators(3, 40), 40,
-                                              (growth._DRAW_CHUNK,))
+                                              growth._trial_generators(3, 40), 40)
     for t, (gens, ok) in enumerate(zip(attempts, won)):
         want_ok, inv = reference_trial(policy, 5e-17, 0.9, np.random.default_rng([3, t]))
         assert (ok, gens) == (want_ok, inv.generation_attempts), t
