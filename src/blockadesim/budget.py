@@ -274,46 +274,3 @@ def budget_report(params: BudgetParams) -> BudgetReport:
     )
     dominant = max(report.mechanisms().items(), key=lambda kv: kv[1])[0]
     return replace(report, dominant_error=dominant)
-
-
-_INPUT_LABELS = {
-    "atoms_interaction": "atoms in interaction volume",
-    "atoms_ensemble": "atoms in collective mode",
-    "wavelength_m": "wavelength [m]",
-    "waist_m": "beam waist [m]",
-    "coupling_mhz": "single-atom coupling [MHz] (back-solved)",
-    "blockade_mhz": "blockade shift [MHz]",
-    "dark_count_rate_hz": "dark-count rate [Hz]",
-    "protocol_time_s": "protocol time [s]",
-    "success_probability": "herald probability (duty cycle)",
-    "density_cm3": "background density [cm^-3]",
-    "collision_cross_section_cm2": "collision cross section [cm^2]",
-    "atom_mass_kg": "atomic mass [kg]",
-    "temperature_k": "temperature [K]",
-}
-
-
-def render_text(report: BudgetReport) -> str:
-    """Human-readable budget with one line per input and per mechanism."""
-    lines = ["error budget", "", "inputs:"]
-    for f in fields(report.params):
-        label = _INPUT_LABELS[f.name]
-        lines.append(f"  {f.name:<28} {getattr(report.params, f.name):<12.6g} {label}")
-    lines += [
-        "",
-        "derived:",
-        f"  {'p_absorption':<28} {report.p_absorption:.6g}",
-        f"  {'epsilon (miss)':<28} {report.epsilon:.6g}",
-        f"  {'collective coupling [MHz]':<28} {report.collective_coupling_mhz_value:.6g}",
-        f"  {'p_double_excitation':<28} {report.p_double_excitation:.6g}",
-        f"  {'p_dark_count':<28} {report.p_dark_count:.6g}",
-        f"  {'collision rate [Hz]':<28} {report.collision_rate_hz:.6g}",
-        f"  {'p_collision (per window)':<28} {report.p_collision:.6g}",
-        f"  {'fidelity (first order)':<28} {report.fidelity_first_order:.6g}",
-        f"  {'fidelity (exact channel)':<28} {report.fidelity_exact:.6g}",
-        "",
-        f"dominant error: {report.dominant_error}",
-        f"reference fidelity {REFERENCE_FIDELITY} differs from first-order estimate "
-        f"by {report.reference_gap:.4f}",
-    ]
-    return "\n".join(lines) + "\n"

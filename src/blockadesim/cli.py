@@ -39,7 +39,7 @@ import math
 import os
 import stat
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -483,20 +483,15 @@ def _handle_ghz(params: dict, seed: int) -> tuple:
     return results, row
 
 
-def _budget_report(params: dict) -> budget_mod.BudgetReport:
-    """Budget of the named preset with every other key as a field override."""
-    base = budget_mod.preset(params["preset"])
-    overrides = {k: v for k, v in params.items() if k != "preset"}
-    return budget_mod.budget_report(replace(base, **overrides))
-
-
 def _handle_budget(params: dict, seed: int) -> tuple:
-    report = _budget_report(params)
+    # the named preset with every other key as a field override
+    overrides = {k: v for k, v in params.items() if k != "preset"}
+    report = budget_mod.budget_report(replace(budget_mod.preset(params["preset"]), **overrides))
     results = report.to_json_dict()
     results["preset"] = params["preset"]
     row = {
         "preset": params["preset"],
-        **{k: v for k, v in results["derived"].items()},
+        **results["derived"],
         "dominant_error": report.dominant_error,
     }
     return results, row
@@ -513,13 +508,8 @@ def _handle_grow(params: dict, seed: int) -> tuple:
     # the Markov solve runs first, so an input it refuses fails before any trial
     markov = None
     if policy.target_size <= growth_mod.MARKOV_MAX_TARGET:
-        cost = growth_mod.expected_cost_markov(policy, params["eta"], params["eta_prime"])
-        markov = {
-            "blocks": cost.blocks,
-            "link_attempts": cost.link_attempts,
-            "generation_attempts": cost.generation_attempts,
-            "steps": cost.steps,
-        }
+        markov = asdict(growth_mod.expected_cost_markov(policy, params["eta"],
+                                                        params["eta_prime"]))
     stats = growth_mod.simulate_growth(policy, params["eta"], params["eta_prime"],
                                        seed, params["trials"])
     results = stats.to_json_dict()
@@ -554,10 +544,10 @@ def run(config: RunConfig) -> str:
     (``params`` and ``results``, or ``rows``) with ``allow_nan=False`` as its
     only check, and looks up the refused key only after a refusal.  csv and
     text first check what they print (csv the rows, text the results or a
-    sweep's rows) with ``_finite_pairs``.  ``budget`` text renders the
-    report with ``budget.render_text``, built in place of the handler.
+    sweep's rows) with ``_finite_pairs``; a single command's text is one
+    ``key = value`` line per flattened results key, a sweep's one line per
+    row.
     """
-    report = None
     if config.command == "sweep":
         handler = HANDLERS[config.sweep_command]
         names = [name for name, _ in config.ranges]
@@ -566,11 +556,7 @@ def run(config: RunConfig) -> str:
         command, body, printed = f"sweep {config.sweep_command}", {"rows": rows}, rows
     else:
         command = config.command
-        if command == "budget" and config.fmt == "text":
-            report = _budget_report(config.params)
-            results, row = report.to_json_dict(), None
-        else:
-            results, row = HANDLERS[command](config.params, config.seed)
+        results, row = HANDLERS[command](config.params, config.seed)
         body, rows, printed = {"params": config.params, "results": results}, [row], results
     if config.fmt == "json":
         envelope = {"schema_version": SCHEMA_VERSION, "command": command,
@@ -588,8 +574,6 @@ def run(config: RunConfig) -> str:
         writer.writeheader()
         writer.writerows({"schema_version": SCHEMA_VERSION, **row} for row in rows)
         return buf.getvalue()
-    if report is not None:
-        return budget_mod.render_text(report)
     if config.command == "sweep":
         lines = [f"blockadesim sweep (schema_version={SCHEMA_VERSION})"]
         lines += ["  ".join(f"{k}={v}" for k, v in row.items()) for row in rows]

@@ -529,8 +529,12 @@ class GrowthStatistics:
 
 def _mean_std(counts) -> tuple:
     values = np.asarray(counts, np.float64)
-    mean = float(values.mean())
-    std = float(values.std(ddof=1)) if len(values) > 1 else 0.0
+    # taken on the counts over a power of two near their largest, so the
+    # squared deviations cannot overflow; the scaling is exact both ways
+    exponent = math.frexp(float(values.max()))[1]
+    values = np.ldexp(values, -exponent)
+    mean = math.ldexp(float(values.mean()), exponent)
+    std = math.ldexp(float(values.std(ddof=1)), exponent) if len(values) > 1 else 0.0
     return mean, std
 
 

@@ -24,7 +24,6 @@ from blockadesim.budget import (
     p_dark_count,
     p_double_excitation,
     preset,
-    render_text,
 )
 
 
@@ -206,18 +205,9 @@ def test_budget_report_json_round_trip():
     blob = json.dumps(report.to_json_dict(), sort_keys=True)
     data = json.loads(blob)
     assert set(data) == {"inputs", "derived", "dominant_error"}
+    assert set(data["inputs"]) == {f.name for f in dataclasses.fields(BudgetParams)}
     assert data["dominant_error"] == "absorption_miss"
     assert data["derived"]["p_double_excitation"] == pytest.approx(0.57e-3, rel=1e-12)
     assert data["derived"]["reference_fidelity"] == REFERENCE_FIDELITY
     assert data["inputs"]["blockade_mhz"] == 2.9
 
-
-def test_render_text_one_line_per_input():
-    report = budget_report(preset("paper-43d"))
-    text = render_text(report)
-    for f in dataclasses.fields(BudgetParams):
-        matching = [ln for ln in text.splitlines() if ln.strip().startswith(f.name)]
-        assert len(matching) == 1, f.name
-    assert "dominant error: double_excitation" in text
-    assert "p_absorption" in text
-    assert str(REFERENCE_FIDELITY) in text

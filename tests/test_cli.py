@@ -1,6 +1,8 @@
 import contextlib
+import csv
 import importlib.util
 import io
+import itertools
 import json
 import math
 import os
@@ -386,6 +388,72 @@ def test_reader_returns_a_config_or_a_documented_refusal():
     check()
 
 
+# edge floats of the run property test below
+RUN_EDGE_FLOATS = ("0", "1", "5e-324", "1e-300", "1e-78", "0.5", "1e300")
+# (first, last, step) of the integer parameters, in bounds that keep each
+# command's work small; sampled entangle costs the same at any trial count
+RUN_INTEGERS = {
+    ("entangle", "trials"): (0, 2**63, 1),
+    ("ghz", "qubits"): (4, 10**6, 2),
+    ("grow", "block_size"): (4, 10, 2),
+    ("grow", "target"): (4, 2000, 1),
+    ("grow", "trials"): (1, 5, 1),
+    ("grow", "cap"): (1, 2000, 1),
+}
+
+
+def _drawn_run_argv(st):
+    """A single command with its floats, trial counts and caps drawn, and
+    its other parameters, the budget fields and the seed drawn or left out."""
+    edge = st.sampled_from(RUN_EDGE_FLOATS)
+
+    def integer(first, last, step):
+        return st.integers(0, (last - first) // step).map(lambda i: str(first + i * step))
+
+    def command_argv(command):
+        groups = []
+        for spec in (*cli.COMMAND_PARAMS[command], *cli.GLOBAL_PARAMS):
+            if spec.name == "output":
+                continue
+            value = (st.sampled_from(spec.choices) if spec.choices
+                     else edge if spec.parse is float
+                     else integer(*RUN_INTEGERS.get((command, spec.name), (0, 2**64, 1))))
+            flag = "--" + spec.name.replace("_", "-")
+            group = value.map(lambda v, flag=flag: [flag, v])
+            # the grow defaults of trials and cap are large
+            drawn = spec.parse is float or spec.name in ("trials", "cap")
+            groups.append(group if drawn else st.just([]) | group)
+        if command == "budget":
+            override = st.tuples(st.sampled_from(cli._BUDGET_FIELDS), edge).map(
+                lambda pair: ["--set", "=".join(pair)])
+            groups.append(st.lists(override, max_size=4).map(lambda gs: sum(gs, [])))
+        return st.tuples(*groups).map(lambda gs: [command] + sum(gs, []))
+
+    return st.one_of([command_argv(command) for command in cli.COMMAND_PARAMS])
+
+
+def test_every_drawn_command_runs_or_gives_a_documented_refusal():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(_drawn_run_argv(hypothesis.strategies))
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_VALIDATION, EXIT_CAP), (argv, code)
+        if code != EXIT_OK:
+            assert out.getvalue() == "", argv
+            assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: "), (
+                argv, err.getvalue())
+            return
+        assert err.getvalue() == "", argv
+        if "json" in argv or "--format" not in argv:
+            json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+    check()
+
+
 # ---------------------------------------------------------------------------
 # command outputs
 
@@ -481,11 +549,27 @@ def test_budget_set_overrides():
     assert main(["budget", "--set", "warp_factor=9"]) == EXIT_CONFIG
 
 
+def _flat(prefix, value):
+    """(dotted key, value) pairs of nested JSON objects."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _flat(f"{prefix}.{key}" if prefix else key, item)
+    else:
+        yield prefix, value
+
+
 def test_budget_text_format():
-    text = run_text(["budget", "--preset", "paper-58d", "--format", "text"])
-    assert "dominant error: absorption_miss" in text
-    assert "p_absorption" in text
-    assert "blockade shift" in text
+    argv = ["budget", "--preset", "paper-58d", "--seed", "6"]
+    header, *lines = run_text(argv + ["--format", "text"]).splitlines()
+    assert header == f"blockadesim budget (schema_version={SCHEMA_VERSION}, seed=6)"
+    assert "dominant_error = absorption_miss" in lines
+    # every printed value is the JSON artifact's value under the same key
+    carried = dict(_flat("", json.loads(run_text(argv))["results"]))
+    printed = dict(line.split(" = ") for line in lines)
+    assert printed.keys() == carried.keys()
+    for key, text in printed.items():
+        want = carried[key]
+        assert (float(text) if isinstance(want, float) else text) == want, key
 
 
 def test_grow_includes_markov_cross_check():
@@ -599,6 +683,17 @@ def test_grow_names_an_underflowing_block_probability(capsys):
     assert "eta = 0 " not in err
 
 
+def test_grow_statistics_of_rare_blocks_stay_finite(capsys):
+    # attempt counts near 1e157, whose squared deviations overflow a float
+    for fmt in ("json", "csv", "text"):
+        assert main(["grow", "--eta", "1e-78", "--trials", "3", "--format", fmt]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == "", fmt
+        if fmt == "json":
+            std = json.loads(captured.out)["results"]["std_generation_attempts"]
+            assert 0.0 < std < math.inf
+
+
 def test_negative_seed_exits_2_before_any_work(tmp_path, monkeypatch, capsys):
     def no_work(config):
         raise AssertionError("the command ran")
@@ -689,7 +784,8 @@ def test_json_refusals_name_the_non_finite_value(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # sweep
 
-@pytest.mark.parametrize("single, swept", [
+# each command as a single command and as the one-point sweep of the same point
+ONE_POINT_SWEEPS = [
     (["entangle", "--eta", "0.5"], ["entangle", "--range", "eta=0.5:0.5:1"]),
     (["ghz", "--qubits", "4", "--p-abs", "0.95"],
      ["ghz", "--set", "qubits=4", "--range", "p_abs=0.95:0.95:1"]),
@@ -697,9 +793,29 @@ def test_json_refusals_name_the_non_finite_value(tmp_path, capsys):
      ["budget", "--range", "dark_count_rate_hz=40:40:1"]),
     (["grow", "--trials", "30", "--eta", "0.9", "--seed", "3"],
      ["grow", "--set", "trials=30", "--range", "eta=0.9:0.9:1", "--seed", "3"]),
-])
+]
+
+
+@pytest.mark.parametrize("single, swept", ONE_POINT_SWEEPS)
 def test_a_one_point_sweep_writes_the_single_commands_csv(single, swept):
     assert run_text(["sweep", *swept, "--format", "csv"]) == run_text(single + ["--format", "csv"])
+
+
+def test_every_artifact_carries_the_schema_version():
+    for argv, fmt in itertools.product(
+            [argv for single, swept in ONE_POINT_SWEEPS for argv in (single, ["sweep", *swept])],
+            ("json", "csv", "text")):
+        text = run_text(argv + ["--format", fmt])
+        if fmt == "json":
+            assert json.loads(text)["schema_version"] == SCHEMA_VERSION, argv
+        elif fmt == "csv":
+            header, *rows = csv.reader(io.StringIO(text))
+            assert header[0] == "schema_version", argv
+            assert rows and all(row[0] == str(SCHEMA_VERSION) for row in rows), argv
+        else:
+            first = text.splitlines()[0]
+            assert first.startswith(f"blockadesim {argv[0]} "), (argv, first)
+            assert f"(schema_version={SCHEMA_VERSION}" in first, (argv, first)
 
 
 def test_sweep_single_range_csv():

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import statistics
 import sys
 import threading
 import time
@@ -532,6 +533,19 @@ def test_a_batch_of_trials_past_int64_tallies_exact_python_ints(monkeypatch):
     policy = GrowthPolicy(4, 16, 1795)
     got = simulate_growth(policy, 1e-8, 0.05, seed=33, trials=120)
     assert got == reference_growth(policy, 1e-8, 0.05, seed=33, trials=120)
+
+
+def test_statistics_of_attempt_counts_past_the_square_root_of_the_float_range():
+    # eta 1e-78: block probability about 1e-156, so attempt counts near 1e157,
+    # whose squared deviations overflow a float
+    policy = GrowthPolicy()
+    got = simulate_growth(policy, 1e-78, 1.0, seed=0, trials=5)
+    p_block, _ = growth.growth_rates(policy, 1e-78, 1.0)
+    attempts = [reference_trial(policy, p_block, 1.0, np.random.default_rng([0, t]))[1]
+                .generation_attempts for t in range(5)]
+    assert min(attempts) > 1e154
+    assert got.mean_generation_attempts == pytest.approx(statistics.mean(attempts), rel=1e-12)
+    assert got.std_generation_attempts == pytest.approx(statistics.stdev(attempts), rel=1e-12)
 
 
 SEEDS = (0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 3, 2**96, 2**128 + 5)
