@@ -47,6 +47,8 @@ from . import budget as budget_mod
 from . import rates as rates_mod
 
 SCHEMA_VERSION = 2
+# every JSON artifact's encoder; json.dumps would build one per call
+_JSON = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
 OUTPUT_DIR_ENV = "BLOCKADESIM_OUTPUT_DIR"
 
 EXIT_OK = 0
@@ -410,13 +412,14 @@ def _handle_entangle(params: dict, seed: int) -> tuple:
     )
     policy = protocol_mod.HeraldPolicy(params["policy"])
     outcome = protocol_mod.entangle_pair_scored(absorption, detector, policy)
+    fidelity = outcome.heralded_fidelity
 
     def branch_dict(b):
         return {"probability": b.probability, "fidelity": b.fidelity}
 
     results = {
         "success_probability": outcome.success_probability,
-        "fidelity": outcome.heralded_fidelity,
+        "fidelity": fidelity,
         "up": branch_dict(outcome.up),
         "down": branch_dict(outcome.down),
         "sampled": None,
@@ -438,7 +441,7 @@ def _handle_entangle(params: dict, seed: int) -> tuple:
         "gamma_dc": params["gamma_dc"],
         "policy": params["policy"],
         "success_probability": outcome.success_probability,
-        "fidelity": outcome.heralded_fidelity,
+        "fidelity": fidelity,
         "sampled_herald_rate": results["sampled"]["herald_rate"] if results["sampled"] else "",
     }
     return results, row
@@ -562,17 +565,17 @@ def run(config: RunConfig) -> str:
         envelope = {"schema_version": SCHEMA_VERSION, "command": command,
                     "seed": config.seed, **body}
         try:
-            return json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False) + "\n"
+            return _JSON.encode(envelope) + "\n"
         except ValueError:
             _finite_pairs(envelope)  # names the refused value
             raise
     pairs = _finite_pairs(rows if config.fmt == "csv" else printed)
     if config.fmt == "csv":
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=["schema_version", *rows[0]],
-                                lineterminator="\n")
-        writer.writeheader()
-        writer.writerows({"schema_version": SCHEMA_VERSION, **row} for row in rows)
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["schema_version", *rows[0]])
+        # every row of one artifact comes from one handler: the same keys in the same order
+        writer.writerows([SCHEMA_VERSION, *row.values()] for row in rows)
         return buf.getvalue()
     if config.command == "sweep":
         lines = [f"blockadesim sweep (schema_version={SCHEMA_VERSION})"]

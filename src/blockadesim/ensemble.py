@@ -114,35 +114,33 @@ def blockade_absorb(state: HybridState, ensemble: int, mode: int, absorption: Ab
     label fed from two inputs) would break that silently, so it raises.
     """
     _require_qudit(state, ensemble)
-    sub_mode = state.subsystems[mode]
-    if not isinstance(sub_mode, OpticalMode):
+    if not isinstance(state.subsystems[mode], OpticalMode):
         raise ValueError(f"subsystem {mode} is not an optical mode")
     p = absorption.p_absorption
     amp_take = math.sqrt(p)
     amp_miss = math.sqrt(1.0 - p)
-    before = state.norm_squared()
+    amps = state._amps
+    before = 0.0
     out = {}
-    produced_from = {}
-    for key, amp in state.amplitudes.items():
-        level, n = key[ensemble], key[mode]
-        branches = []
-        if level == "e" and n >= 1:
+    for key, amp in amps.items():
+        before += (amp * amp.conjugate()).real
+        if key[ensemble] == "e" and key[mode] >= 1:
             if amp_take != 0.0:
                 taken = list(key)
                 taken[ensemble] = "r1"
-                taken[mode] = n - 1
-                branches.append((tuple(taken), amp_take * amp))
-            if amp_miss != 0.0:
-                branches.append((key, amp_miss * amp))
-        else:
-            branches.append((key, amp))
-        for new, value in branches:
-            src = produced_from.setdefault(new, key)
-            if src != key:
-                raise ValueError(
-                    f"absorption branches collide on {new!r} (from {src!r} and {key!r})"
-                )
-            out[new] = out.get(new, 0.0) + value
+                taken[mode] -= 1
+                taken = tuple(taken)
+                # inputs map one to one, so a taken branch can only land on an
+                # input that idles in "r1"
+                if taken in amps:
+                    raise ValueError(
+                        f"absorption branches collide on {taken!r} (from {key!r} and {taken!r})"
+                    )
+                out[taken] = amp_take * amp
+            if amp_miss == 0.0:
+                continue
+            amp = amp_miss * amp
+        out[key] = amp
     result = HybridState._trusted(state.subsystems, out)
     if abs(result.norm_squared() - before) > ATOL_STATE:
         raise ValueError("absorption failed to preserve the norm")

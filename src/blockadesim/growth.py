@@ -688,5 +688,8 @@ def expected_cost_markov(policy: GrowthPolicy, eta: float, eta_prime: float) -> 
         raise ValueError(f"the Markov solve gives impossible costs (blocks {blocks!r}, "
                          f"link attempts {links!r}) at eta_prime = {eta_prime!r}, "
                          f"target {target}")
+    attempts = blocks / p_block
+    if not math.isfinite(attempts):
+        raise ValueError(f"Markov generation_attempts = {blocks!r} / {p_block!r} is not finite")
     return ExpectedCost(blocks=blocks, link_attempts=links,
-                        generation_attempts=blocks / p_block, steps=blocks + links)
+                        generation_attempts=attempts, steps=blocks + links)

@@ -131,16 +131,16 @@ def beam_splitter(state: HybridState, mode_i: int, mode_j: int) -> HybridState:
     """
     if mode_i == mode_j:
         raise ValueError("beam splitter needs two distinct modes")
-    sub_i = _require_mode(state, mode_i)
-    sub_j = _require_mode(state, mode_j)
+    cut_i = _require_mode(state, mode_i).cutoff
+    cut_j = _require_mode(state, mode_j).cutoff
     out = {}
-    for key, amp in state.amplitudes.items():
+    for key, amp in state._amps.items():
         m, n = key[mode_i], key[mode_j]
         for (p, q), coeff in _splitter_column(m, n):
-            if p > sub_i.cutoff or q > sub_j.cutoff:
+            if p > cut_i or q > cut_j:
                 raise ValueError(
                     f"beam splitter output |{p},{q}> exceeds cutoffs "
-                    f"({sub_i.cutoff},{sub_j.cutoff}); raise the mode cutoff"
+                    f"({cut_i},{cut_j}); raise the mode cutoff"
                 )
             new = list(key)
             new[mode_i] = p
@@ -152,11 +152,10 @@ def beam_splitter(state: HybridState, mode_i: int, mode_j: int) -> HybridState:
 
 def phase_shift(state: HybridState, mode: int, phi: float) -> HybridState:
     """|n> -> exp(i n phi) |n> on one mode."""
-    _require_mode(state, mode)
-    out = {}
-    for key, amp in state.amplitudes.items():
-        out[key] = amp * complex(math.cos(key[mode] * phi), math.sin(key[mode] * phi))
-    return HybridState._trusted(state.subsystems, out)
+    phases = [complex(math.cos(n * phi), math.sin(n * phi))
+              for n in range(_require_mode(state, mode).cutoff + 1)]
+    return HybridState._trusted(state.subsystems, {
+        key: amp * phases[key[mode]] for key, amp in state._amps.items()})
 
 
 def _click_pair(det: DetectorModel, n: int) -> tuple:
@@ -275,13 +274,13 @@ def _pattern_weights(det: DetectorModel, cutoffs: Sequence, occupations: Sequenc
     Kronecker product of its modes' (no click, click) pairs, multiplied in
     mode order; the last mode varies fastest, as in that order.
     """
-    pairs = [[_click_pair(det, n) for n in range(c + 1)] for c in cutoffs]
+    # one detector model watches every mode: its pairs up to the largest cutoff
+    pairs = [_click_pair(det, n) for n in range(max(cutoffs, default=0) + 1)]
     rows = []
     for occ in occupations:
         row = [1.0]
-        for per_n, n in zip(pairs, occ):
-            no_click, click = per_n[n]
-            row = [w * f for w in row for f in (no_click, click)]
+        for n in occ:
+            row = [w * f for w in row for f in pairs[n]]
         rows.append(row)
     patterns = itertools.product((False, True), repeat=len(cutoffs))
     # zip(*rows) would yield no pattern at all for an empty occupation list
@@ -337,20 +336,20 @@ def score_patterns(groups: OccupationGroups, det: DetectorModel, targets: Sequen
     """
     if not isinstance(groups, OccupationGroups):
         raise TypeError(f"expected OccupationGroups, got {type(groups).__name__}")
-    norms, overlaps = [], []
-    for _, branch in groups.branches:
-        norms.append(branch.norm_squared())
-        overlaps.append(tuple(abs(t.inner(branch)) ** 2 for t in targets))
+    branches = [branch for _, branch in groups.branches]
+    # one column of norms, then one of overlaps per target: one running sum each
+    columns = [[branch.norm_squared() for branch in branches]] + [
+        [abs(t.inner(branch)) ** 2 for branch in branches] for t in targets]
     table = _pattern_weights(det, groups.cutoffs, [occ for occ, _ in groups.branches])
     zeros = (0.0,) * len(targets)
     out = {}
     for pattern, weights in table:
-        prob = 0.0
-        sums = zeros
-        for w, norm, overlap in zip(weights, norms, overlaps):
-            if w == 0.0:
-                continue
-            prob += w * norm
-            sums = tuple(s + w * o for s, o in zip(sums, overlap))
-        out[pattern] = (0.0, zeros) if prob <= ATOL_STATE else (prob, sums)
+        sums = []
+        for column in columns:
+            total = 0.0
+            for w, value in zip(weights, column):
+                if w != 0.0:
+                    total += w * value
+            sums.append(total)
+        out[pattern] = (0.0, zeros) if sums[0] <= ATOL_STATE else (sums[0], tuple(sums[1:]))
     return out

@@ -46,17 +46,18 @@ single-click patterns give the up and down targets above.
 
 Register reduction
 ------------------
-Both circuits build their modes with ``_register`` (registers first, one port
-per ensemble) and detect every port, so one path reduces either to its
-registers.  What is computed where:
+Both circuits start from ``_prepared`` (registers first, one port per
+ensemble, built once, its subsystems shared by every later state) and detect
+every port, so one path reduces either to its registers.  What is computed where:
 
 * per circuit and absorption model (cached, so a sweep over detector models
-  pays it once): the pure pre-detection state, and one pass over it that
-  moves the registers to the storage basis, groups the amplitudes by the
-  occupations of the detected ports and drops the ports, leaving pure
-  register branches (``_register_groups``, which keeps only the
-  grouping); the grouping builds each branch's norm and ket-bra list the
-  first time they are needed;
+  pays it once): the pure pre-detection state (``_pre_detection``), which
+  the sampler's sequential oracle reads too, so ``entangle --trials N``
+  builds its circuit once; and one pass over it that moves the registers
+  to the storage basis, groups the amplitudes by the occupations of the
+  detected ports and drops the ports, leaving pure register branches
+  (``_register_groups``); the grouping builds each branch's norm and
+  ket-bra list the first time they are needed;
 * per detector model: each occupation tuple's weight under every click
   pattern (``detect_all_probabilities``);
 * per pattern: the weighted branches summed into one register density
@@ -74,6 +75,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -152,10 +154,13 @@ def _success(policy: HeraldPolicy, table: dict) -> float:
     return sum(table[clicks][0] for clicks in patterns)
 
 
-def _register(ensembles: str) -> tuple:
-    """One qudit per named ensemble, then one two-photon port per ensemble."""
-    return (tuple(EnsembleQudit(name) for name in ensembles)
-            + tuple(OpticalMode(2, f"port{k}") for k in range(1, len(ensembles) + 1)))
+@lru_cache(maxsize=None)
+def _prepared(ensembles: str) -> HybridState:
+    """Each named ensemble in "e" and each of their ports holding one photon, built once."""
+    n = len(ensembles)
+    return HybridState.basis((*map(EnsembleQudit, ensembles),
+                              *(OpticalMode(2, f"port{k}") for k in range(1, n + 1))),
+                             ("e",) * n + (1,) * n)
 
 
 def _pair_stage(state: HybridState, ens_a: int, ens_b: int, mode_a: int, mode_b: int,
@@ -170,8 +175,7 @@ def _pair_stage(state: HybridState, ens_a: int, ens_b: int, mode_a: int, mode_b:
 
 def pair_pre_detection_state(absorption: AbsorptionModel) -> HybridState:
     """Pure state of (A, B, port1, port2) just before the detectors."""
-    state = HybridState.basis(_register("AB"), ("e", "e", 1, 1))
-    return _pair_stage(state, 0, 1, 2, 3, absorption)
+    return _pair_stage(_prepared("AB"), 0, 1, 2, 3, absorption)
 
 
 @dataclass(frozen=True)
@@ -205,8 +209,15 @@ class EntangleOutcome:
 
 # (circuit, absorption model) pairs whose grouped branches stay cached.  A
 # sweep holds one absorption model fixed, and each circuit's ideal limit
-# (_ideal_targets) takes one more entry, so a handful is plenty.
+# (_ideal_targets) takes one more entry, so a handful is plenty.  Only the last
+# pre-detection state stays, the one the sampler reads after its exact half.
 REGISTER_GROUPS_CACHE_SIZE = 4
+
+
+@lru_cache(maxsize=1)
+def _pre_detection(pre_detection_state, absorption: AbsorptionModel) -> HybridState:
+    """``pre_detection_state(absorption)``, kept until another state is built."""
+    return pre_detection_state(absorption)
 
 
 @lru_cache(maxsize=REGISTER_GROUPS_CACHE_SIZE)
@@ -222,13 +233,16 @@ def _register_groups(pre_detection_state, modes: tuple,
     relabelling that would merge two amplitudes.  The grouping is
     immutable and keeps its branch products once built.
     """
-    pre = pre_detection_state(absorption)
+    pre = _pre_detection(pre_detection_state, absorption)
     subs = pre.subsystems
     n_registers = len(subs) - len(modes)
+    # itemgetter of one index returns the bare item, not a 1-tuple
+    occupation = (operator.itemgetter(*modes) if len(modes) > 1
+                  else lambda key, mode=modes[0]: (key[mode],))
     grouped = {}
     for key, amp in pre:
-        branch = grouped.setdefault(tuple(key[m] for m in modes), {})
-        stored = tuple(STORAGE_LEVEL_OF[level] for level in key[:n_registers])
+        branch = grouped.setdefault(occupation(key), {})
+        stored = tuple(map(STORAGE_LEVEL_OF.__getitem__, key[:n_registers]))
         if stored in branch:
             raise ValueError(f"storage transfer collides on {stored!r} "
                              f"(a register holds both optical and storage weight)")
@@ -380,7 +394,7 @@ def entangle_pair_sampled(absorption: AbsorptionModel, detector: DetectorModel,
     import numpy as np  # imported here so that the exact commands never load numpy
 
     mode_up, mode_down = PAIR_DETECTED_MODES
-    rho = DensityOperator.from_pure(pair_pre_detection_state(absorption))
+    rho = DensityOperator.from_pure(_pre_detection(pair_pre_detection_state, absorption))
     joint = {(c1, c2): 0.0 for c1 in (False, True) for c2 in (False, True)}
     for c1, p1, post1 in detect_outcomes(rho, mode_up, detector):
         if post1 is None:
@@ -421,8 +435,7 @@ GHZ_DETECTED_MODES = (4, 5, 7, 6)
 
 def ghz_pre_detection_state(absorption: AbsorptionModel) -> HybridState:
     """State of (A..D, port1..port4) after both stages and cross-recombination."""
-    state = HybridState.basis(_register("ABCD"), ("e", "e", "e", "e", 1, 1, 1, 1))
-    state = _pair_stage(state, 0, 1, 4, 5, absorption)
+    state = _pair_stage(_prepared("ABCD"), 0, 1, 4, 5, absorption)
     state = _pair_stage(state, 2, 3, 6, 7, absorption)
     # cross-recombiners erase which-stage information: port1 x port3, port2 x port4
     state = beam_splitter(state, 4, 6)

@@ -100,6 +100,11 @@ def _key_sort_index(subsystems, key) -> tuple:
     return tuple(sub.label_index(lab) for sub, lab in zip(subsystems, key))
 
 
+def _without_zeros(values: dict) -> dict:
+    """``values`` itself when no value is an exact zero, else a copy without them."""
+    return values if 0 not in values.values() else {k: v for k, v in values.items() if v != 0}
+
+
 def same_structure(a, b) -> bool:
     """True when two states/operators share an identical subsystem register."""
     return tuple(a.subsystems) == tuple(b.subsystems)
@@ -133,12 +138,12 @@ class HybridState:
     def _trusted(cls, subsystems: tuple, amplitudes: dict) -> "HybridState":
         """Internal: skip label validation for keys built from validated keys.
 
-        ``subsystems`` must be a tuple and the values complex; exact zeros
-        are still dropped.
+        ``subsystems`` must be a tuple, the values complex, and ``amplitudes``
+        a new dict that the caller drops: kept as it is unless a zero must go.
         """
         state = object.__new__(cls)
         state._subsystems = subsystems
-        state._amps = {k: v for k, v in amplitudes.items() if v != 0}
+        state._amps = _without_zeros(amplitudes)
         return state
 
     @classmethod
@@ -244,12 +249,11 @@ class DensityOperator:
     def _trusted(cls, subsystems: tuple, elements: dict) -> "DensityOperator":
         """Internal: skip label validation for keys built from validated keys.
 
-        ``subsystems`` must be a tuple and the values complex; exact zeros
-        are still dropped.
+        As ``HybridState._trusted``: ``elements`` is kept unless a zero must go.
         """
         rho = object.__new__(cls)
         rho._subsystems = subsystems
-        rho._elems = {p: v for p, v in elements.items() if v != 0}
+        rho._elems = _without_zeros(elements)
         return rho
 
     @classmethod

@@ -476,6 +476,41 @@ def test_entangle_json_document():
     assert total == 500
 
 
+def test_sampled_entangle_builds_the_pair_circuit_once(monkeypatch, capsys):
+    from blockadesim import protocol as protocol_mod
+
+    absorbed = []
+    absorb = protocol_mod.blockade_absorb
+
+    def counted(*args):
+        absorbed.append(args[1:3])
+        return absorb(*args)
+
+    # a p_abs that no other test runs, so that no cache holds its circuit
+    argv = ["entangle", "--eta", "0.7", "--p-abs", "0.9137", "--gamma-dc", "300",
+            "--trials", "5000", "--seed", "4"]
+    absorption = protocol_mod.AbsorptionModel(0.9137)
+    detector = protocol_mod.DetectorModel(efficiency=0.7, dark_count_rate_hz=300.0)
+    protocol_mod._pair_targets()  # the ideal limit, built once per process
+    monkeypatch.setattr(protocol_mod, "blockade_absorb", counted)
+    assert main(argv) == EXIT_OK
+    # the exact half builds the circuit (one absorption per ensemble) and the
+    # sampler conditions the same pre-detection state
+    assert absorbed == [(0, 2), (1, 3)]
+    artifact = capsys.readouterr().out
+    expected = protocol_mod.entangle_pair_sampled(absorption, detector, 4, 5000)
+    assert len(absorbed) == 2
+
+    # building the circuit afresh for each use changes no byte
+    monkeypatch.setattr(protocol_mod, "_pre_detection",
+                        lambda circuit, absorption: circuit(absorption))
+    protocol_mod._register_groups.cache_clear()
+    assert main(argv) == EXIT_OK
+    assert len(absorbed) == 2 + 4
+    assert capsys.readouterr().out == artifact
+    assert protocol_mod.entangle_pair_sampled(absorption, detector, 4, 5000) == expected
+
+
 def test_output_reproducible_byte_for_byte():
     argv = ["entangle", "--eta", "0.4", "--p-abs", "0.9", "--trials", "2000",
             "--seed", "123"]
@@ -674,6 +709,22 @@ def test_grow_impossible_markov_costs_exit_before_any_trial(target, eta_prime, t
     assert captured.out == "" and not out.exists()
     assert captured.err.count("error:") == 1
     assert f"eta_prime = {eta_prime}" in captured.err and f"target {target}" in captured.err
+
+
+def test_grow_refuses_unbounded_markov_generation_attempts_before_any_trial(monkeypatch,
+                                                                             capsys):
+    def no_trials(*args):
+        raise AssertionError("simulate_growth ran")
+
+    # finite blocks (8.9e284) over a block probability of 2.5e-235
+    monkeypatch.setattr(growth_mod, "simulate_growth", no_trials)
+    argv = ["grow", "--block-size", "6", "--eta", "1e-78", "--eta-prime", "1e-300",
+            "--target", "12", "--trials", "2", "--cap", "100"]
+    for fmt in ("json", "csv", "text"):
+        assert main(argv + ["--format", fmt]) == EXIT_VALIDATION, fmt
+        captured = capsys.readouterr()
+        assert captured.out == "", fmt
+        assert captured.err.count("error:") == 1 and "generation_attempts" in captured.err, fmt
 
 
 def test_grow_names_an_underflowing_block_probability(capsys):

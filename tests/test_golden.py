@@ -1,14 +1,24 @@
 """Golden corpus: frozen CLI artifacts that a refactor must reproduce.
 
 Each case is one command line and the artifact it wrote when the corpus was
-frozen, stored under ``tests/golden/``.  Exact-path floats must agree to
-1e-12; integers (Monte Carlo counts among them) and every non-numeric token
-must agree exactly.  An intended change of behaviour regenerates the files
-with ``python tests/test_golden.py`` and names the change in CHANGES.md.
+frozen, stored under ``tests/golden/``.  The artifacts of commands that load
+no numpy (``BYTE_EXACT``) must match byte for byte.  The others run numpy's
+RNG or linear algebra, whose last digits may vary between builds: there
+floats must agree to 1e-12, and integers (Monte Carlo counts among them)
+and every non-numeric token exactly.
+
+    python tests/test_golden.py           # regenerate every golden file
+    python tests/test_golden.py --check   # list the files whose bytes differ, exit 1 if any
+
+An intended change of behaviour regenerates the files and names the change
+in CHANGES.md.
 """
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +30,8 @@ TOL = 1e-12
 
 CASES = {
     "entangle_exact.json": ["entangle", "--eta", "0.3", "--p-abs", "0.989"],
+    "entangle_dark.csv": ["entangle", "--gamma-dc", "300", "--policy", "per-detector",
+                          "--format", "csv"],
     "entangle_sampled_exclusive.json": [
         "entangle", "--eta", "0.7", "--p-abs", "0.95", "--gamma-dc", "200",
         "--policy", "exclusive", "--trials", "5000", "--seed", "7"],
@@ -56,6 +68,11 @@ CASES = {
                         "--range", "trials=20:40:20", "--seed", "11"],
 }
 
+# the cases whose commands load no numpy
+BYTE_EXACT = {"entangle_exact.json", "entangle_dark.csv", "ghz4.json", "ghz6.csv",
+              "budget_43d.json", "budget_58d.txt", "budget_43d_override.csv",
+              "sweep_ghz.csv", "sweep_ghz4.json", "sweep_entangle.json", "sweep_budget.txt"}
+
 
 def _same(got, want) -> bool:
     """Structural equality; floats to TOL, everything else exactly."""
@@ -91,11 +108,40 @@ def _tokens(text: str) -> list:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_artifact_matches_golden(name):
     got = run(parse_args(CASES[name]))
+    if name in BYTE_EXACT:
+        assert got.encode() == (GOLDEN_DIR / name).read_bytes(), got
+        return
     want = (GOLDEN_DIR / name).read_text()
     if name.endswith(".json"):
         assert _same(json.loads(got), json.loads(want)), got
     else:
         assert _same(_tokens(got), _tokens(want)), got
+
+
+def test_byte_exact_cases_load_no_numpy():
+    code = (f"import sys\nfrom blockadesim.cli import parse_args, run\n"
+            f"for argv in {[CASES[name] for name in sorted(BYTE_EXACT)]!r}:\n"
+            f"    run(parse_args(argv))\n"
+            f"print('numpy' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+def test_check_lists_only_the_files_whose_bytes_differ(tmp_path, monkeypatch):
+    for name in CASES:
+        (tmp_path / name).write_bytes((GOLDEN_DIR / name).read_bytes())
+    # one changed byte, and one file gone
+    stale = tmp_path / "ghz6.csv"
+    stale.write_bytes(stale.read_bytes().replace(b"\n", b"\r\n", 1))
+    (tmp_path / "budget_58d.txt").unlink()
+    written = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    monkeypatch.setitem(globals(), "GOLDEN_DIR", tmp_path)
+    assert differing() == [tmp_path / "budget_58d.txt", stale]
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == written
 
 
 def test_comparison_tolerances():
@@ -111,9 +157,26 @@ def test_comparison_tolerances():
 def regenerate():
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, argv in sorted(CASES.items()):
-        (GOLDEN_DIR / name).write_text(run(parse_args(argv)))
+        (GOLDEN_DIR / name).write_bytes(run(parse_args(argv)).encode())
         print(f"wrote {GOLDEN_DIR / name}")
 
 
+def differing() -> list:
+    """The golden files whose bytes differ from what the code writes now."""
+    out = []
+    for name, argv in sorted(CASES.items()):
+        path = GOLDEN_DIR / name
+        if not path.is_file() or path.read_bytes() != run(parse_args(argv)).encode():
+            out.append(path)
+    return out
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        stale = differing()
+        for path in stale:
+            print(f"differs: {path}")
+        sys.exit(1 if stale else 0)
+    if sys.argv[1:]:
+        sys.exit("usage: python tests/test_golden.py [--check]")
     regenerate()
