@@ -411,7 +411,7 @@ def _handle_entangle(params: dict, seed: int) -> tuple:
         gate_time_s=params["gate_time"],
     )
     policy = protocol_mod.HeraldPolicy(params["policy"])
-    outcome = protocol_mod.entangle_pair_scored(absorption, detector, policy)
+    outcome = protocol_mod.entangle_pair_exact(absorption, detector, policy)
     fidelity = outcome.heralded_fidelity
 
     def branch_dict(b):

@@ -25,7 +25,7 @@ from .state_algebra import (
     ATOL_STATE,
     EnsembleQudit,
     HybridState,
-    OpticalMode,
+    require_mode,
 )
 
 LOGICAL_LEVELS = ("g", "s")
@@ -114,8 +114,7 @@ def blockade_absorb(state: HybridState, ensemble: int, mode: int, absorption: Ab
     label fed from two inputs) would break that silently, so it raises.
     """
     _require_qudit(state, ensemble)
-    if not isinstance(state.subsystems[mode], OpticalMode):
-        raise ValueError(f"subsystem {mode} is not an optical mode")
+    require_mode(state, mode)
     p = absorption.p_absorption
     amp_take = math.sqrt(p)
     amp_miss = math.sqrt(1.0 - p)

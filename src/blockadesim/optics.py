@@ -51,8 +51,8 @@ from .state_algebra import (
     ATOL_STATE,
     DensityOperator,
     HybridState,
-    OpticalMode,
     require_density,
+    require_mode,
 )
 
 
@@ -83,16 +83,6 @@ class DetectorModel:
     @classmethod
     def ideal(cls) -> "DetectorModel":
         return cls(efficiency=1.0, dark_count_rate_hz=0.0)
-
-
-def _require_mode(state, index: int) -> OpticalMode:
-    subs = state.subsystems
-    if not 0 <= index < len(subs):
-        raise ValueError(f"mode index {index} out of range")
-    sub = subs[index]
-    if not isinstance(sub, OpticalMode):
-        raise ValueError(f"subsystem {index} is not an optical mode")
-    return sub
 
 
 @lru_cache(maxsize=None)
@@ -131,8 +121,8 @@ def beam_splitter(state: HybridState, mode_i: int, mode_j: int) -> HybridState:
     """
     if mode_i == mode_j:
         raise ValueError("beam splitter needs two distinct modes")
-    cut_i = _require_mode(state, mode_i).cutoff
-    cut_j = _require_mode(state, mode_j).cutoff
+    cut_i = require_mode(state, mode_i).cutoff
+    cut_j = require_mode(state, mode_j).cutoff
     out = {}
     for key, amp in state._amps.items():
         m, n = key[mode_i], key[mode_j]
@@ -153,7 +143,7 @@ def beam_splitter(state: HybridState, mode_i: int, mode_j: int) -> HybridState:
 def phase_shift(state: HybridState, mode: int, phi: float) -> HybridState:
     """|n> -> exp(i n phi) |n> on one mode."""
     phases = [complex(math.cos(n * phi), math.sin(n * phi))
-              for n in range(_require_mode(state, mode).cutoff + 1)]
+              for n in range(require_mode(state, mode).cutoff + 1)]
     return HybridState._trusted(state.subsystems, {
         key: amp * phases[key[mode]] for key, amp in state._amps.items()})
 
@@ -174,7 +164,7 @@ def detect_outcomes(rho: DensityOperator, mode: int, det: DetectorModel) -> list
     probability zero carry ``None``.  Probabilities sum to the input trace.
     """
     rho = require_density(rho)
-    sub = _require_mode(rho, mode)
+    sub = require_mode(rho, mode)
     weights = [_click_pair(det, n) for n in range(sub.cutoff + 1)]
 
     results = []
@@ -252,7 +242,7 @@ def group_occupations(state: HybridState, modes: Sequence) -> OccupationGroups:
         raise ValueError("detected modes must be distinct")
     if not modes:
         raise ValueError("need at least one mode to detect")
-    cutoffs = tuple(_require_mode(state, m).cutoff for m in modes)
+    cutoffs = tuple(require_mode(state, m).cutoff for m in modes)
     grouped = {}
     for key, amp in state:
         new = list(key)

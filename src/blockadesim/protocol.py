@@ -59,16 +59,16 @@ every port, so one path reduces either to its registers.  What is computed where
   (``_register_groups``); the grouping builds each branch's norm and
   ket-bra list the first time they are needed;
 * per detector model: each occupation tuple's weight under every click
-  pattern (``detect_all_probabilities``);
-* per pattern: the weighted branches summed into one register density
-  operator, which the chain scores and the pair entangler mixes per herald
-  (``_HERALDS``).  Only there and in the sampler's sequential oracle are
-  density operators made;
-* per pattern, by scalars (``entangle_pair_scored``, what the ``entangle``
-  command prints): each pattern's probability and weighted overlaps with
-  the pair's two targets (``optics.score_patterns``), mixed per herald the
-  same way and divided by the herald probability.  The pair's targets are
-  built once per process.
+  pattern;
+* per pattern of the chain (``ghz4_exact``): the weighted branches summed
+  into one register density operator (``detect_all_probabilities``) and
+  scored against the pattern's target.  Only there and in the sampler's
+  sequential oracle are density operators made;
+* per pattern of the pair, by scalars (``entangle_pair_exact``, what the
+  ``entangle`` command prints): each pattern's probability and weighted
+  overlaps with the pair's two targets (``optics.score_patterns``), mixed
+  per herald (``_HERALDS``) and divided by the herald probability.  The
+  pair's targets are built once per process.
 """
 
 from __future__ import annotations
@@ -183,8 +183,6 @@ class HeraldBranch:
     """One detector's herald branch of the pair protocol."""
 
     probability: float
-    # storage basis, registers (A, B); None when scored by scalars
-    conditional_state: Optional[DensityOperator]
     fidelity: Optional[float]
 
 
@@ -274,62 +272,23 @@ def _ideal_targets(pre_detection_state, modes: tuple) -> dict:
     return targets
 
 
-def entangle_pair_exact(absorption: AbsorptionModel = AbsorptionModel(),
-                        detector: DetectorModel = DetectorModel.ideal(),
-                        policy: HeraldPolicy = HeraldPolicy.PER_DETECTOR) -> EntangleOutcome:
-    """Full outcome enumeration of the heralded pair protocol.
-
-    Each herald branch mixes the click patterns ``_HERALDS`` lists for the
-    policy; the conditional states are mixed from the cached register
-    branches (see the module docstring), so they hold the two ensembles in
-    the storage basis.  Up is scored against the ideal target of the
-    (True, False) pattern and down against that of (False, True).
-    """
-    table = detect_all_probabilities(
-        _register_groups(pair_pre_detection_state, PAIR_DETECTED_MODES, absorption), detector)
-    targets = _ideal_targets(pair_pre_detection_state, PAIR_DETECTED_MODES)
-    branches = {}
-    for which, patterns in _HERALDS[policy].items():
-        prob = 0.0
-        mix = []
-        for clicks in patterns:
-            p, rho = table[clicks]
-            if p > 0.0:
-                prob += p
-                mix.append((p, rho))
-        conditional = fid = None
-        if prob > 0.0:
-            conditional = DensityOperator.mixture(mix).scaled(1.0 / prob)
-            fid = fidelity(conditional, targets[patterns[0]])
-        branches[which] = HeraldBranch(
-            probability=prob,
-            conditional_state=conditional,
-            fidelity=fid,
-        )
-
-    return EntangleOutcome(
-        policy=policy,
-        success_probability=_success(policy, table),
-        up=branches[UP],
-        down=branches[DOWN],
-    )
-
-
 @lru_cache(maxsize=1)
 def _pair_targets() -> dict:
     """The pair entangler's ideal targets, built once per process."""
     return _ideal_targets(pair_pre_detection_state, PAIR_DETECTED_MODES)
 
 
-def entangle_pair_scored(absorption: AbsorptionModel = AbsorptionModel(),
-                         detector: DetectorModel = DetectorModel.ideal(),
-                         policy: HeraldPolicy = HeraldPolicy.PER_DETECTOR) -> EntangleOutcome:
-    """``entangle_pair_exact``'s numbers by scalars, without conditional states.
+def entangle_pair_exact(absorption: AbsorptionModel = AbsorptionModel(),
+                        detector: DetectorModel = DetectorModel.ideal(),
+                        policy: HeraldPolicy = HeraldPolicy.PER_DETECTOR) -> EntangleOutcome:
+    """Full outcome enumeration of the heralded pair protocol, by scalars.
 
-    Each herald branch sums its ``_HERALDS`` patterns' probabilities and
-    weighted overlaps with the branch's target (``optics.score_patterns``)
-    and divides the second by the first; ``entangle_pair_exact`` is its
-    oracle.  Every branch's ``conditional_state`` is None.
+    Each herald branch sums the probabilities of the click patterns
+    ``_HERALDS`` lists for the policy and their weighted overlaps with the
+    branch's target (``optics.score_patterns``), and divides the second by
+    the first: the fidelity of the mixed conditional state without building
+    it.  Up is scored against the ideal target of the (True, False) pattern
+    and down against that of (False, True).
     """
     heralds = _HERALDS[policy]
     targets = _pair_targets()
@@ -345,7 +304,7 @@ def entangle_pair_scored(absorption: AbsorptionModel = AbsorptionModel(),
             overlap += overlaps[index]
         # clipped to [0, 1] as state_algebra.fidelity clips
         fid = min(max(overlap / prob, 0.0), 1.0) if prob > 0.0 else None
-        branches[which] = HeraldBranch(probability=prob, conditional_state=None, fidelity=fid)
+        branches[which] = HeraldBranch(probability=prob, fidelity=fid)
     return EntangleOutcome(
         policy=policy,
         success_probability=_success(policy, scores),
@@ -384,9 +343,10 @@ def entangle_pair_sampled(absorption: AbsorptionModel, detector: DetectorModel,
     """Sample the joint click record of the pair protocol ``trials`` times.
 
     The joint distribution is assembled from sequential single-detector
-    conditioning (a code path independent of ``entangle_pair_exact``).  The
-    four click counts of ``trials`` independent records are one multinomial
-    draw from it, so the cost does not grow with ``trials``.
+    conditioning on the density operator, a code path independent of
+    ``entangle_pair_exact``'s grouped scalars.  The four click counts of
+    ``trials`` independent records are one multinomial draw from it, so the
+    cost does not grow with ``trials``.
     """
     # the multinomial draw takes an int64 count
     if not 1 <= trials <= 2**63 - 1:

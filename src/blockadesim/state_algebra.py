@@ -22,7 +22,7 @@ import math
 import operator
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping
 
 # Algebraic tolerance: norms, traces, hermiticity, unitarity.
 ATOL_STATE = 1e-12
@@ -35,10 +35,6 @@ ATOL_PSD = 1e-10
 # optically excited state, the long-lived storage state, and the singly
 # occupied upper level (double occupation is blockaded, hence no "r2").
 ENSEMBLE_LEVELS = ("g", "e", "s", "r1")
-
-Label = Union[str, int]
-LabelTuple = tuple
-KetBra = tuple
 
 
 @dataclass(frozen=True)
@@ -83,9 +79,6 @@ class OpticalMode:
     def canonical(self, label):
         n = self.label_index(label)
         return n
-
-
-Subsystem = Union[EnsembleQudit, OpticalMode]
 
 
 def _canonical_key(subsystems, key) -> tuple:
@@ -325,6 +318,17 @@ def require_density(obj) -> DensityOperator:
     if not isinstance(obj, DensityOperator):
         raise TypeError(f"expected DensityOperator, got {type(obj).__name__}")
     return obj
+
+
+def require_mode(state, index: int) -> OpticalMode:
+    """Subsystem ``index`` of ``state``, refused unless it is an optical mode."""
+    subs = state.subsystems
+    if not 0 <= index < len(subs):
+        raise ValueError(f"mode index {index} out of range")
+    sub = subs[index]
+    if not isinstance(sub, OpticalMode):
+        raise ValueError(f"subsystem {index} is not an optical mode")
+    return sub
 
 
 def fidelity(rho: DensityOperator, psi: HybridState) -> float:

@@ -1,27 +1,43 @@
-"""Shared test utilities: state oracles, hand-written protocol targets,
-random states, statistics, the reference growth trial and the argparse
-reading of a command line."""
+"""Shared test utilities: state oracles, the density-operator pair
+entangler, hand-written protocol targets, random states, statistics, the
+reference growth trial and the argparse reading of a command line."""
 
 import argparse
 import functools
 import itertools
 import math
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
 from blockadesim import cli
-from blockadesim.ensemble import gate_phase, gate_x
+from blockadesim.ensemble import AbsorptionModel, gate_phase, gate_x
 from blockadesim.growth import ClusterInventory, GrowthStatistics, growth_rates
-from blockadesim.optics import _click_pair
+from blockadesim.optics import DetectorModel, _click_pair, detect_all_probabilities
+from blockadesim.protocol import (
+    _HERALDS,
+    DOWN,
+    PAIR_DETECTED_MODES,
+    UP,
+    EntangleOutcome,
+    HeraldPolicy,
+    _ideal_targets,
+    _register_groups,
+    _success,
+    pair_pre_detection_state,
+)
 from blockadesim.rates import link_success_probability
 from blockadesim.state_algebra import (
     ATOL_PSD,
     ATOL_STATE,
     ENSEMBLE_LEVELS,
+    DensityOperator,
     EnsembleQudit,
     HybridState,
     OpticalMode,
+    fidelity,
 )
 
 
@@ -94,6 +110,59 @@ def pattern_weights_loop(det, cutoffs, occupations):
             weights.append(w)
         out.append((pattern, tuple(weights)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the pair entangler by density operators: the oracle of entangle_pair_exact
+
+@dataclass(frozen=True)
+class DensityBranch:
+    """One herald branch of ``pair_density_outcome``."""
+
+    probability: float
+    conditional_state: Optional[DensityOperator]  # storage basis, registers (A, B)
+    fidelity: Optional[float]
+
+
+def pair_density_outcome(absorption: AbsorptionModel = AbsorptionModel(),
+                         detector: DetectorModel = DetectorModel.ideal(),
+                         policy: HeraldPolicy = HeraldPolicy.PER_DETECTOR) -> EntangleOutcome:
+    """Full outcome enumeration of the heralded pair protocol by density operators.
+
+    Each herald branch mixes the click patterns ``_HERALDS`` lists for the
+    policy; the conditional states are mixed from the cached register
+    branches, so they hold the two ensembles in the storage basis.  Up is
+    scored against the ideal target of the (True, False) pattern and down
+    against that of (False, True).  The branches are ``DensityBranch``es.
+    """
+    table = detect_all_probabilities(
+        _register_groups(pair_pre_detection_state, PAIR_DETECTED_MODES, absorption), detector)
+    targets = _ideal_targets(pair_pre_detection_state, PAIR_DETECTED_MODES)
+    branches = {}
+    for which, patterns in _HERALDS[policy].items():
+        prob = 0.0
+        mix = []
+        for clicks in patterns:
+            p, rho = table[clicks]
+            if p > 0.0:
+                prob += p
+                mix.append((p, rho))
+        conditional = fid = None
+        if prob > 0.0:
+            conditional = DensityOperator.mixture(mix).scaled(1.0 / prob)
+            fid = fidelity(conditional, targets[patterns[0]])
+        branches[which] = DensityBranch(
+            probability=prob,
+            conditional_state=conditional,
+            fidelity=fid,
+        )
+
+    return EntangleOutcome(
+        policy=policy,
+        success_probability=_success(policy, table),
+        up=branches[UP],
+        down=branches[DOWN],
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from blockadesim.state_algebra import (
 from helpers import (
     ACCEPTED_GHZ_PATTERNS,
     canonical_ghz,
+    pair_density_outcome,
     psi_pair,
     random_optical_pair,
     random_state,
@@ -111,7 +112,7 @@ def test_criterion_2_pair_state_reproduction(capsys):
         for key in keys:
             assert abs(pre.amplitude(key) - expected.amplitude(key)) < 1e-12, key
 
-        outcome = entangle_pair_exact(AbsorptionModel(1.0), DetectorModel.ideal())
+        outcome = pair_density_outcome(AbsorptionModel(1.0), DetectorModel.ideal())
         assert fidelity(outcome.up.conditional_state, psi_pair(-1)) > 1.0 - 1e-10
         assert fidelity(outcome.down.conditional_state, psi_pair(+1)) > 1.0 - 1e-10
 

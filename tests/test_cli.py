@@ -511,6 +511,31 @@ def test_sampled_entangle_builds_the_pair_circuit_once(monkeypatch, capsys):
     assert protocol_mod.entangle_pair_sampled(absorption, detector, 4, 5000) == expected
 
 
+def test_entangle_runs_the_pair_through_the_name_the_tracer_rebinds(monkeypatch, capsys):
+    from blockadesim import protocol as protocol_mod
+
+    argvs = (["entangle", "--eta", "0.6", "--p-abs", "0.93", "--gamma-dc", "2e4"],
+             ["entangle", "--eta", "0.6", "--p-abs", "0.93", "--trials", "1000", "--seed", "3"])
+    artifacts = []
+    for argv in argvs:
+        assert main(argv) == EXIT_OK
+        artifacts.append(capsys.readouterr().out)
+
+    calls = []
+    exact = protocol_mod.entangle_pair_exact
+
+    def counted(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(protocol_mod, "entangle_pair_exact", counted)
+    for argv, artifact in zip(argvs, artifacts):
+        calls.clear()
+        assert main(argv) == EXIT_OK
+        assert len(calls) == 1, argv
+        assert capsys.readouterr().out == artifact
+
+
 def test_output_reproducible_byte_for_byte():
     argv = ["entangle", "--eta", "0.4", "--p-abs", "0.9", "--trials", "2000",
             "--seed", "123"]

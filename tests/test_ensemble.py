@@ -10,6 +10,7 @@ from blockadesim.ensemble import (
     gate_x,
     transfer_to_storage,
 )
+from blockadesim.optics import beam_splitter
 from blockadesim.state_algebra import (
     DensityOperator,
     EnsembleQudit,
@@ -114,6 +115,19 @@ def test_blockade_absorb_argument_validation():
         blockade_absorb(st, 1, 0, AbsorptionModel(1.0))
     with pytest.raises(ValueError):
         blockade_absorb(st, 0, 0, AbsorptionModel(1.0))
+
+
+@pytest.mark.parametrize("mode", [-1, 9])
+def test_blockade_absorb_refuses_a_mode_index_out_of_range_as_the_splitter_does(mode):
+    # two registers, then their two ports: mode -1 would alias the last port
+    subs = (EnsembleQudit("A"), EnsembleQudit("B"), OpticalMode(2, "port1"),
+            OpticalMode(2, "port2"))
+    st = HybridState.basis(subs, ("e", "e", 1, 1))
+    message = f"mode index {mode} out of range"
+    with pytest.raises(ValueError, match=message):
+        blockade_absorb(st, 0, mode, AbsorptionModel(0.5))
+    with pytest.raises(ValueError, match=message):
+        beam_splitter(st, 2, mode)
 
 
 def test_transfer_to_storage_relabels():

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import itertools
 import json
 import math
@@ -16,7 +17,6 @@ from blockadesim.protocol import (
     HeraldPolicy,
     entangle_pair_exact,
     entangle_pair_sampled,
-    entangle_pair_scored,
     ghz4_exact,
     ghz_pre_detection_state,
     pair_pre_detection_state,
@@ -39,6 +39,7 @@ from helpers import (
     canonical_ghz,
     corrected_target,
     element,
+    pair_density_outcome,
     psi_pair,
 )
 
@@ -88,8 +89,9 @@ def test_entangle_ideal_per_detector():
     assert out.down.fidelity == pytest.approx(1.0, abs=1e-10)
     assert out.heralded_fidelity == pytest.approx(1.0, abs=1e-10)
     # herald signs: up detector tags the minus state, down the plus state
-    assert fidelity(out.up.conditional_state, psi_pair(-1)) == pytest.approx(1.0, abs=1e-10)
-    assert fidelity(out.down.conditional_state, psi_pair(+1)) == pytest.approx(1.0, abs=1e-10)
+    dense = pair_density_outcome()
+    assert fidelity(dense.up.conditional_state, psi_pair(-1)) == pytest.approx(1.0, abs=1e-10)
+    assert fidelity(dense.down.conditional_state, psi_pair(+1)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_entangle_per_detector_fidelity_law():
@@ -182,7 +184,7 @@ def test_entangle_conditional_states_match_sequential_detection_chain(policy):
         HeraldPolicy.EXCLUSIVE: {UP: lambda c1, c2: c1 and not c2,
                                  DOWN: lambda c1, c2: c2 and not c1},
     }[policy]
-    out = entangle_pair_exact(absorption, det, policy)
+    out = pair_density_outcome(absorption, det, policy)
     for which, heralded in heralds.items():
         mix = [(p, post) for (c1, c2), (p, post) in joint.items() if heralded(c1, c2)]
         prob = sum(p for p, _ in mix)
@@ -310,9 +312,8 @@ def test_scored_pair_matches_the_density_operator_oracle(policy):
                                                  (1.0, 0.7, 0.3, 0.0), (0.0, 2e4)):
         absorption = AbsorptionModel(p_abs)
         det = DetectorModel(efficiency=eta, dark_count_rate_hz=dark_hz)
-        oracle = entangle_pair_exact(absorption, det, policy)
-        scored = entangle_pair_scored(absorption, det, policy)
-        assert scored.up.conditional_state is None and scored.down.conditional_state is None
+        oracle = pair_density_outcome(absorption, det, policy)
+        scored = entangle_pair_exact(absorption, det, policy)
         got_numbers = pair_numbers(scored)
         for what, want in pair_numbers(oracle).items():
             got = got_numbers[what]
@@ -321,6 +322,9 @@ def test_scored_pair_matches_the_density_operator_oracle(policy):
             else:
                 assert got == pytest.approx(want, abs=1e-12), (what, p_abs, eta, dark_hz)
         assert scored.success_probability >= 0.0
+    # a scored branch holds only what the entangle command prints
+    fields = [f.name for f in dataclasses.fields(protocol.HeraldBranch)]
+    assert fields == ["probability", "fidelity"]
 
 
 @pytest.mark.parametrize("policy", list(HeraldPolicy))
@@ -328,8 +332,8 @@ def test_entangle_artifact_carries_the_scored_numbers(policy):
     argv = ["entangle", "--eta", "0.6", "--p-abs", "0.93", "--gamma-dc", "2e4",
             "--policy", policy.value]
     results = json.loads(run(parse_args(argv)))["results"]
-    scored = entangle_pair_scored(AbsorptionModel(0.93),
-                                  DetectorModel(efficiency=0.6, dark_count_rate_hz=2e4), policy)
+    scored = entangle_pair_exact(AbsorptionModel(0.93),
+                                 DetectorModel(efficiency=0.6, dark_count_rate_hz=2e4), policy)
     assert results["success_probability"] == scored.success_probability
     assert results["fidelity"] == scored.heralded_fidelity
     for which in (UP, DOWN):
